@@ -7,20 +7,16 @@ in *dataflow* -- fusion scope (which intermediates hit DRAM), schedule
 every design is evaluated with the same Timeloop/Accelergy setup.
 """
 
-from repro.baselines.base import ExecutorBase, SUBLAYERS
-from repro.baselines.flat import FlatExecutor
-from repro.baselines.fusemax import FuseMaxExecutor
-from repro.baselines.fusemax_layerfuse import FuseMaxLayerFuseExecutor
-from repro.baselines.registry import EXECUTORS, named_executor
-from repro.baselines.unfused import UnfusedExecutor
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "EXECUTORS",
-    "ExecutorBase",
-    "FlatExecutor",
-    "FuseMaxExecutor",
-    "FuseMaxLayerFuseExecutor",
-    "SUBLAYERS",
-    "UnfusedExecutor",
-    "named_executor",
-]
+_EXPORTS = {
+    "repro.baselines.base": ("ExecutorBase", "SUBLAYERS"),
+    "repro.baselines.flat": ("FlatExecutor",),
+    "repro.baselines.fusemax": ("FuseMaxExecutor",),
+    "repro.baselines.fusemax_layerfuse": ("FuseMaxLayerFuseExecutor",),
+    "repro.baselines.registry": ("EXECUTORS", "named_executor"),
+    "repro.baselines.unfused": ("UnfusedExecutor",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -52,13 +52,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional
 
-from repro.arch.pe import PEArrayKind
 from repro.arch.spec import named_architecture
-from repro.core.framework import DEFAULT_EXECUTORS, compare_executors
-from repro.metrics.tables import format_table
 from repro.model.config import MODEL_ZOO, named_model
 from repro.model.workload import Workload
 
@@ -101,6 +97,10 @@ def _workload_from(args: argparse.Namespace) -> Workload:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run every executor on one workload and print a comparison."""
+    from repro.arch.pe import PEArrayKind
+    from repro.core.framework import DEFAULT_EXECUTORS, compare_executors
+    from repro.metrics.tables import format_table
+
     arch = named_architecture(args.arch)
     workload = _workload_from(args)
     reports = compare_executors(workload, arch,
@@ -216,6 +216,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_stack(args: argparse.Namespace) -> int:
     """Price an encoder/decoder stack under the main executors."""
     from repro.core.stack import StackConfig, estimate_stack
+    from repro.metrics.tables import format_table
 
     arch = named_architecture(args.arch)
     stack = StackConfig(
@@ -253,6 +254,7 @@ def cmd_stack(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     """Print per-step decode latency across context lengths."""
     from repro.experiments.decode import decode_sweep
+    from repro.metrics.tables import format_table
 
     contexts = tuple(args.contexts)
     data = decode_sweep(
@@ -280,6 +282,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Price a grid of points through the sweep engine."""
+    from repro.arch.pe import PEArrayKind
+    from repro.metrics.tables import format_table
     from repro.runner import (
         GridPoint,
         default_cache,
@@ -451,6 +455,7 @@ def cmd_learn_eval(args: argparse.Namespace) -> int:
     """Score the fitted model on a held-out grid; gate the ratio."""
     from repro.learn.evaluate import evaluate_points
     from repro.learn.predictor import load_model
+    from repro.metrics.tables import format_table
     from repro.model.workload import Workload
 
     predictor = load_model()
@@ -508,6 +513,7 @@ def cmd_learn_eval(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     """Audit one grid point (cached plan or fresh computation)."""
     from repro.core.serialize import save_audit_report
+    from repro.metrics.tables import format_table
     from repro.runner import GridPoint
     from repro.validate.runner import validate_point
 
@@ -673,6 +679,7 @@ def _print_plan_summary(document) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the planning service (HTTP, or stdio with ``--stdio``)."""
     import asyncio
+    import time
 
     from repro.runner.cache import ENV_CACHE, ENV_CACHE_DIR
     from repro.runner.parallel import resolve_jobs

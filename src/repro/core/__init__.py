@@ -8,21 +8,15 @@ Combines the three contributions:
 * outer tiling via TileSeek (Section 5).
 """
 
-from repro.core.executor import TransFusionExecutor
-from repro.core.framework import TransFusion, compare_executors
-from repro.core.interlayer import InterLayerPlan, build_interlayer_plan
-from repro.core.plan import CompiledLayer, CompiledPlan
-from repro.core.stack import StackConfig, StackEstimate, estimate_stack
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "CompiledLayer",
-    "CompiledPlan",
-    "InterLayerPlan",
-    "StackConfig",
-    "StackEstimate",
-    "TransFusion",
-    "TransFusionExecutor",
-    "build_interlayer_plan",
-    "compare_executors",
-    "estimate_stack",
-]
+_EXPORTS = {
+    "repro.core.executor": ("TransFusionExecutor",),
+    "repro.core.framework": ("TransFusion", "compare_executors"),
+    "repro.core.interlayer": ("InterLayerPlan", "build_interlayer_plan"),
+    "repro.core.plan": ("CompiledLayer", "CompiledPlan"),
+    "repro.core.stack": ("StackConfig", "StackEstimate", "estimate_stack"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -20,18 +20,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import TYPE_CHECKING, Any, Dict, Union
 
 from repro.arch.pe import PEArrayKind
-from repro.arch.spec import ArchitectureSpec
-from repro.core.plan import CompiledPlan
 from repro.resilience.budget import PROVENANCE_COMPLETE
-from repro.sim.stats import PhaseStats, RunReport
-from repro.tileseek.buffer_model import TilingConfig
-from repro.tileseek.evaluate import TilingAssessment
-from repro.tileseek.mcts import MCTSStats
-from repro.tileseek.search import TileSeekResult
-from repro.validate.report import AuditCheck, AuditReport
+
+if TYPE_CHECKING:
+    from repro.arch.spec import ArchitectureSpec
+    from repro.core.plan import CompiledPlan
+    from repro.sim.stats import PhaseStats, RunReport
+    from repro.tileseek.search import TileSeekResult
+    from repro.validate.report import AuditReport
 
 
 def plan_to_dict(
@@ -138,6 +137,8 @@ def phase_to_dict(phase: PhaseStats) -> Dict[str, Any]:
 
 def phase_from_dict(document: Dict[str, Any]) -> PhaseStats:
     """Rebuild a :class:`PhaseStats` written by :func:`phase_to_dict`."""
+    from repro.sim.stats import PhaseStats
+
     return PhaseStats(
         name=document["name"],
         compute_seconds=document["compute_seconds"],
@@ -174,6 +175,8 @@ def report_to_dict(report: RunReport) -> Dict[str, Any]:
 
 def report_from_dict(document: Dict[str, Any]) -> RunReport:
     """Rebuild a :class:`RunReport` written by :func:`report_to_dict`."""
+    from repro.sim.stats import RunReport
+
     return RunReport(
         executor=document["executor"],
         workload=document["workload"],
@@ -413,6 +416,8 @@ def audit_report_to_dict(report: AuditReport) -> Dict[str, Any]:
 def audit_report_from_dict(document: Dict[str, Any]) -> AuditReport:
     """Rebuild an :class:`AuditReport` written by
     :func:`audit_report_to_dict`."""
+    from repro.validate.report import AuditCheck, AuditReport
+
     return AuditReport(
         subject=document["subject"],
         checks=[
@@ -449,6 +454,11 @@ def tileseek_result_from_dict(
 ) -> TileSeekResult:
     """Rebuild a :class:`TileSeekResult` written by
     :func:`tileseek_result_to_dict`."""
+    from repro.tileseek.buffer_model import TilingConfig
+    from repro.tileseek.evaluate import TilingAssessment
+    from repro.tileseek.mcts import MCTSStats
+    from repro.tileseek.search import TileSeekResult
+
     stats = document["stats"]
     return TileSeekResult(
         config=TilingConfig(**document["config"]),

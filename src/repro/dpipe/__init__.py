@@ -12,31 +12,18 @@ schedule in three steps:
    arrays.
 """
 
-from repro.dpipe.latency import LatencyTable, build_latency_table
-from repro.dpipe.planner import (
-    DPipeOptions,
-    DPipePlan,
-    clear_kernel_cache,
-    kernel_cache_size,
-    plan_cascade,
-    plan_cascade_legacy,
-    plan_window_schedule,
-)
-from repro.dpipe.scheduler import ScheduleResult, dp_schedule
-from repro.dpipe.search import InternedProblem, fused_best_order
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "DPipeOptions",
-    "DPipePlan",
-    "InternedProblem",
-    "LatencyTable",
-    "ScheduleResult",
-    "build_latency_table",
-    "clear_kernel_cache",
-    "dp_schedule",
-    "fused_best_order",
-    "kernel_cache_size",
-    "plan_cascade",
-    "plan_cascade_legacy",
-    "plan_window_schedule",
-]
+_EXPORTS = {
+    "repro.dpipe.latency": ("LatencyTable", "build_latency_table"),
+    "repro.dpipe.options": ("DPipeOptions",),
+    "repro.dpipe.planner": (
+        "DPipePlan", "clear_kernel_cache", "kernel_cache_size",
+        "plan_cascade", "plan_cascade_legacy", "plan_window_schedule",
+    ),
+    "repro.dpipe.scheduler": ("ScheduleResult", "dp_schedule"),
+    "repro.dpipe.search": ("InternedProblem", "fused_best_order"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

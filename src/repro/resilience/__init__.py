@@ -21,52 +21,24 @@ instead of dying:
   :class:`~repro.runner.faults.InfeasiblePoint`.
 """
 
-from repro.resilience.budget import (
-    ENV_BUDGET,
-    ENV_DEADLINE,
-    ENV_NO_FALLBACK,
-    PROVENANCE_BUDGET_EXHAUSTED,
-    PROVENANCE_COMPLETE,
-    UNITS_PER_SECOND,
-    Budget,
-    fallback_enabled,
-    fallback_provenance,
-    is_degraded,
-    resolve_budget,
-    worst_provenance,
-)
-from repro.resilience.diagnostics import (
-    BufferDiagnosis,
-    diagnose_infeasible,
-)
-from repro.resilience.ladder import (
-    RUNG_FIRST_ORDER,
-    RUNG_HEURISTIC,
-    RUNG_LEARNED,
-    RUNG_MINIMAL,
-    RUNG_WARM_START,
-    classify_rung,
-)
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "ENV_BUDGET",
-    "ENV_DEADLINE",
-    "ENV_NO_FALLBACK",
-    "PROVENANCE_BUDGET_EXHAUSTED",
-    "PROVENANCE_COMPLETE",
-    "RUNG_FIRST_ORDER",
-    "RUNG_HEURISTIC",
-    "RUNG_LEARNED",
-    "RUNG_MINIMAL",
-    "RUNG_WARM_START",
-    "UNITS_PER_SECOND",
-    "Budget",
-    "BufferDiagnosis",
-    "classify_rung",
-    "diagnose_infeasible",
-    "fallback_enabled",
-    "fallback_provenance",
-    "is_degraded",
-    "resolve_budget",
-    "worst_provenance",
-]
+_EXPORTS = {
+    "repro.resilience.budget": (
+        "ENV_BUDGET", "ENV_DEADLINE", "ENV_NO_FALLBACK",
+        "PROVENANCE_BUDGET_EXHAUSTED", "PROVENANCE_COMPLETE",
+        "UNITS_PER_SECOND", "Budget", "fallback_enabled",
+        "fallback_provenance", "is_degraded", "resolve_budget",
+        "worst_provenance",
+    ),
+    "repro.resilience.diagnostics": (
+        "BufferDiagnosis", "diagnose_infeasible",
+    ),
+    "repro.resilience.ladder": (
+        "RUNG_FIRST_ORDER", "RUNG_HEURISTIC", "RUNG_LEARNED",
+        "RUNG_MINIMAL", "RUNG_WARM_START", "classify_rung",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -28,92 +28,31 @@ fed by :func:`run_grid`'s per-chain threading of best assignments
 across neighboring sequence lengths.
 """
 
-from repro.runner.cache import (
-    PlanCache,
-    cache_enabled,
-    code_salt,
-    default_cache,
-    stable_hash,
-)
-from repro.runner.faults import (
-    CacheCorruption,
-    ChainTimeout,
-    FaultPlan,
-    FaultRule,
-    FaultSpecError,
-    InfeasiblePoint,
-    PointFailure,
-    SweepConfigError,
-    SweepError,
-    WorkerCrash,
-    active_plan,
-    backoff_seconds,
-    parse_faults,
-    resolve_retries,
-    resolve_timeout,
-)
-from repro.runner.journal import (
-    SweepJournal,
-    default_journal_path,
-    point_fingerprint,
-)
-from repro.runner.pool import (
-    InlineWorkerPool,
-    WorkerPool,
-    make_pool,
-)
-from repro.runner.parallel import (
-    DEFAULT_BATCH,
-    STATUS_FAILED,
-    STATUS_INFEASIBLE,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    STATUS_TIMEOUT,
-    GridPoint,
-    SweepResult,
-    compute_report,
-    report_cache_payload,
-    resolve_jobs,
-    run_grid,
-)
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "DEFAULT_BATCH",
-    "STATUS_FAILED",
-    "STATUS_INFEASIBLE",
-    "STATUS_OK",
-    "STATUS_SKIPPED",
-    "STATUS_TIMEOUT",
-    "CacheCorruption",
-    "ChainTimeout",
-    "FaultPlan",
-    "FaultRule",
-    "FaultSpecError",
-    "GridPoint",
-    "InfeasiblePoint",
-    "InlineWorkerPool",
-    "PlanCache",
-    "PointFailure",
-    "SweepConfigError",
-    "SweepError",
-    "SweepJournal",
-    "SweepResult",
-    "WorkerCrash",
-    "WorkerPool",
-    "active_plan",
-    "backoff_seconds",
-    "cache_enabled",
-    "code_salt",
-    "compute_report",
-    "default_cache",
-    "default_journal_path",
-    "make_pool",
-    "parse_faults",
-    "point_fingerprint",
-    "report_cache_payload",
-    "resolve_jobs",
-    "resolve_retries",
-    "resolve_timeout",
-    "run_grid",
-    "stable_hash",
-]
+_EXPORTS = {
+    "repro.runner.cache": (
+        "PlanCache", "cache_enabled", "code_salt", "default_cache",
+        "stable_hash",
+    ),
+    "repro.runner.faults": (
+        "CacheCorruption", "ChainTimeout", "FaultPlan", "FaultRule",
+        "FaultSpecError", "InfeasiblePoint", "PointFailure",
+        "SweepConfigError", "SweepError", "WorkerCrash",
+        "active_plan", "backoff_seconds", "parse_faults",
+        "resolve_retries", "resolve_timeout",
+    ),
+    "repro.runner.journal": (
+        "SweepJournal", "default_journal_path", "point_fingerprint",
+    ),
+    "repro.runner.pool": ("InlineWorkerPool", "WorkerPool", "make_pool"),
+    "repro.runner.parallel": (
+        "DEFAULT_BATCH", "STATUS_FAILED", "STATUS_INFEASIBLE",
+        "STATUS_OK", "STATUS_SKIPPED", "STATUS_TIMEOUT", "GridPoint",
+        "SweepResult", "compute_report", "report_cache_payload",
+        "resolve_jobs", "run_grid",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

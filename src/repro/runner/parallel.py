@@ -53,16 +53,14 @@ then 1 (serial).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as wait_futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -76,7 +74,11 @@ from typing import (
 from collections.abc import Mapping as MappingABC
 
 from repro.arch.spec import named_architecture
-from repro.baselines.registry import named_executor
+from repro.baselines.registry import (
+    executor_params,
+    named_executor,
+    preload_executors,
+)
 from repro.core.serialize import (
     failure_from_dict,
     failure_to_dict,
@@ -116,7 +118,13 @@ from repro.runner.faults import (
 )
 from repro.runner.journal import SweepJournal, point_fingerprint
 from repro.settings import env_int
-from repro.sim.stats import RunReport
+
+# multiprocessing and concurrent.futures are imported where a sweep
+# first fans out: a serial chain (every local ``plan``) never needs them.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.sim.stats import RunReport
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -293,17 +301,16 @@ def report_cache_payload(
     point: GridPoint,
     warm: Tuple[Tuple[int, ...], ...] = (),
 ) -> Dict[str, Any]:
-    """The content-hash payload identifying one point's report."""
-    executor = named_executor(point.executor)
-    params: Dict[str, Any] = {}
-    for attr in ("tileseek_iterations", "seed", "dpipe_options"):
-        if hasattr(executor, attr):
-            params[attr] = getattr(executor, attr)
+    """The content-hash payload identifying one point's report.
+
+    Built from the executor registry's constructor parameters, never
+    from an executor instance: a disk-cache hit loads no executor.
+    """
     payload = {
         "kind": "report",
         "salt": code_salt(),
         "executor": point.executor,
-        "executor_params": params,
+        "executor_params": executor_params(point.executor),
         "workload": workload_fingerprint(point.workload()),
         "arch": arch_fingerprint(named_architecture(point.arch)),
         "warm_start": [list(a) for a in warm],
@@ -332,7 +339,7 @@ def report_cache_payload(
 def _point_document(
     point: GridPoint,
     cache: Union[Any, None],
-    executor: Optional[Any] = None,
+    build: Callable[[], Any],
     warm: Tuple[Tuple[int, ...], ...] = (),
 ) -> Tuple[Optional[str], Dict[str, Any]]:
     """(cache key, serialized report document) for one point.
@@ -340,7 +347,9 @@ def _point_document(
     The document is served from the persistent cache when possible;
     both the serial and the parallel path reconstruct reports from
     these documents, which is what makes their outputs byte-identical.
-    The key is ``None`` when the cache is disabled.
+    The key is ``None`` when the cache is disabled.  ``build`` returns
+    the executor and is called only on a miss, so a hit never imports
+    the executor stack.
     """
     key = payload = None
     if cache is not None:
@@ -349,8 +358,7 @@ def _point_document(
         document = cache.get("report", key)
         if document is not None:
             return key, document
-    if executor is None:
-        executor = named_executor(point.executor)
+    executor = build()
     if hasattr(executor, "set_warm_start"):
         executor.set_warm_start(warm)
     report = executor.run(point.workload(), named_architecture(point.arch))
@@ -380,7 +388,13 @@ def compute_report(
     """
     if cache is None:
         cache = default_cache()
-    _, document = _point_document(point, cache, executor, warm)
+
+    def build() -> Any:
+        if executor is not None:
+            return executor
+        return named_executor(point.executor)
+
+    _, document = _point_document(point, cache, build, warm)
     return report_from_dict(document)
 
 
@@ -430,9 +444,23 @@ def _run_chain(
     """
     plan = active_plan()
     cache = default_cache()
-    executor = named_executor(chain[0].executor)
+    # An unknown executor name fails the whole chain up front, as a
+    # plain KeyError rather than a per-point failure.
+    executor_params(chain[0].executor)
+    executor = None
+
+    def chain_executor() -> Any:
+        # Built on the chain's first miss (or up front when warm
+        # starts need its tiling lookups), then reused.
+        nonlocal executor
+        if executor is None:
+            executor = named_executor(chain[0].executor)
+        return executor
+
     warm: Tuple[Tuple[int, ...], ...] = ()
-    supports_warm = warm_start and hasattr(executor, "set_warm_start")
+    supports_warm = warm_start and hasattr(
+        chain_executor(), "set_warm_start"
+    )
     results = []
     for position, point in enumerate(chain):
         index = indices[position] if indices is not None else position
@@ -447,8 +475,8 @@ def _run_chain(
                 # follow-up tiling lookup below uses this point's key.
                 executor.set_warm_start(warm)
             key, document = _point_document(
-                point, cache=cache, executor=executor,
-                warm=warm if supports_warm else (),
+                point, cache, chain_executor,
+                warm if supports_warm else (),
             )
             if supports_warm:
                 tiling = executor.tiling(
@@ -631,6 +659,8 @@ def _harvest_future(
 
     Returns whether the pool must be abandoned (its worker died).
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         outcome = _ChainOutcome(STATUS_OK, results=future.result())
         outcomes[chain_id] = outcome
@@ -681,6 +711,9 @@ def _collect_round(
     never started because every worker was wedged -- those rerun on
     the next round's fresh pool without being charged an attempt.
     """
+    from concurrent.futures import FIRST_COMPLETED
+    from concurrent.futures import wait as wait_futures
+
     abandoned = False
     deadlines: Dict[int, float] = {}
     waiting = dict(futures)
@@ -764,10 +797,14 @@ def _parallel_outcomes(
     lost are resubmitted, and an abandoned pool's workers are
     explicitly killed (see :func:`_kill_pool_workers`).
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else None
     )
+    preload_executors()
     pending: Dict[int, int] = {i: 0 for i in chain_ids}
     while pending:
         pool = ProcessPoolExecutor(

@@ -39,6 +39,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.baselines.registry import preload_executors
 from repro.runner.faults import SweepConfigError
 
 
@@ -74,6 +75,9 @@ class WorkerPool:
         self.env = dict(env or {})
         self.generation = 0
         self._pool: Optional[ProcessPoolExecutor] = None
+        # Fork-started workers (and every respawn) inherit the
+        # executor stack instead of each importing it again.
+        preload_executors()
 
     def _spawn(self) -> ProcessPoolExecutor:
         from repro.runner.parallel import _worker_init

@@ -42,58 +42,26 @@ provenance, typed failures, Table-2 infeasibility diagnoses --
 reuses the PR 3-6 primitives unchanged.
 """
 
-from repro.serve.app import ServeApp
-from repro.serve.client import fleet_call, remote_call
-from repro.serve.coalesce import Coalescer
-from repro.serve.fleet import FleetSupervisor, ReplicaProcess
-from repro.serve.journal import ServeJournal
-from repro.serve.lru import SaltedLRU
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ServeProtocolError,
-    ServeRequest,
-    canonical_body,
-    deadline_units,
-    effective_budget,
-    error_response,
-    execute_request,
-    parse_request,
-    request_fingerprint,
-)
-from repro.serve.router import (
-    parse_fleet,
-    preference_order,
-    route,
-)
-from repro.serve.transport import (
-    serve_http,
-    serve_stdio,
-    start_http_server,
-)
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "Coalescer",
-    "FleetSupervisor",
-    "ReplicaProcess",
-    "SaltedLRU",
-    "ServeApp",
-    "ServeJournal",
-    "ServeProtocolError",
-    "ServeRequest",
-    "canonical_body",
-    "deadline_units",
-    "effective_budget",
-    "error_response",
-    "execute_request",
-    "fleet_call",
-    "parse_fleet",
-    "parse_request",
-    "preference_order",
-    "remote_call",
-    "request_fingerprint",
-    "route",
-    "serve_http",
-    "serve_stdio",
-    "start_http_server",
-]
+_EXPORTS = {
+    "repro.serve.app": ("ServeApp",),
+    "repro.serve.client": ("fleet_call", "remote_call"),
+    "repro.serve.coalesce": ("Coalescer",),
+    "repro.serve.fleet": ("FleetSupervisor", "ReplicaProcess"),
+    "repro.serve.journal": ("ServeJournal",),
+    "repro.serve.lru": ("SaltedLRU",),
+    "repro.serve.protocol": (
+        "PROTOCOL_VERSION", "ServeProtocolError", "ServeRequest",
+        "canonical_body", "deadline_units", "effective_budget",
+        "error_response", "execute_request", "parse_request",
+        "request_fingerprint",
+    ),
+    "repro.serve.router": ("parse_fleet", "preference_order", "route"),
+    "repro.serve.transport": (
+        "serve_http", "serve_stdio", "start_http_server",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

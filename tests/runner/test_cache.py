@@ -8,6 +8,7 @@ import pytest
 from pathlib import Path
 
 from repro.arch.spec import named_architecture
+from repro.baselines.registry import EXECUTORS
 from repro.model.workload import Workload
 from repro.runner.cache import (
     CacheClearFailure,
@@ -331,6 +332,62 @@ class TestPlanCache:
         assert document["value"] == {"v": 1}
 
 
+def instance_payload(point, warm=()):
+    """The report key payload derived the pre-registry way, kept as
+    the oracle: executor parameters read off a constructed executor
+    instance rather than taken from the registry."""
+    from repro.baselines.registry import named_executor
+    from repro.learn import learn_enabled, model_signature
+    from repro.resilience.budget import fallback_enabled, resolve_budget
+
+    executor = named_executor(point.executor)
+    params = {}
+    for attr in ("tileseek_iterations", "seed", "dpipe_options"):
+        if hasattr(executor, attr):
+            params[attr] = getattr(executor, attr)
+    payload = {
+        "kind": "report",
+        "salt": code_salt(),
+        "executor": point.executor,
+        "executor_params": params,
+        "workload": workload_fingerprint(point.workload()),
+        "arch": arch_fingerprint(named_architecture(point.arch)),
+        "warm_start": [list(a) for a in warm],
+    }
+    budget = resolve_budget()
+    if budget is not None:
+        payload["budget"] = budget
+    if not fallback_enabled():
+        payload["no_fallback"] = True
+    if learn_enabled():
+        payload["learn"] = model_signature()
+    return payload
+
+
+class TestKeyIdentity:
+    """The registry-derived key equals the instance-derived one for
+    every registered executor, so no existing cache entry moves."""
+
+    @pytest.mark.parametrize("budget", [None, "16"])
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_payload_matches_instance_derivation(
+        self, executor, budget, monkeypatch
+    ):
+        if budget is None:
+            monkeypatch.delenv("REPRO_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BUDGET", budget)
+        point = GridPoint(
+            executor=executor, model="t5", seq_len=512,
+            arch="cloud", batch=4,
+        )
+        for warm in ((), ((1, 64, 1, 256, 64),)):
+            expected = instance_payload(point, warm)
+            actual = report_cache_payload(point, warm)
+            assert actual == expected
+            assert stable_hash(actual) == stable_hash(expected)
+
+
 class TestKeyInvalidation:
     def test_arch_change_changes_key(self, point):
         base = report_cache_payload(point)
@@ -365,15 +422,15 @@ class TestKeyInvalidation:
         base = report_cache_payload(tf)
         import repro.runner.parallel as parallel
 
-        real = parallel.named_executor
+        real = parallel.executor_params
 
         def tweaked(name):
-            executor = real(name)
-            if hasattr(executor, "tileseek_iterations"):
-                executor.tileseek_iterations = 123
-            return executor
+            params = real(name)
+            if "tileseek_iterations" in params:
+                params["tileseek_iterations"] = 123
+            return params
 
-        monkeypatch.setattr(parallel, "named_executor", tweaked)
+        monkeypatch.setattr(parallel, "executor_params", tweaked)
         assert stable_hash(base) != stable_hash(
             report_cache_payload(tf)
         )
@@ -427,9 +484,10 @@ class TestComputeReport:
         first = compute_report(point, cache=cache)
         built_after_first = calls["n"]
         second = compute_report(point, cache=cache)
-        # The second call never builds an executor beyond the payload
-        # lookup: the report came off disk.
-        assert calls["n"] == built_after_first + 1
+        # The second call builds no executor at all: the report came
+        # off disk, and its key comes from the registry's parameters.
+        assert built_after_first == 1
+        assert calls["n"] == built_after_first
         assert cache.hits == 1
         assert first.latency_seconds(arch) == second.latency_seconds(
             arch

@@ -206,6 +206,7 @@ class TestGC:
         detected (mtime mismatch) and atomically restored."""
         key = stable_hash({"k": "refresh"})
         path = put_aged(cache, key, {"v": 1}, 600)
+        scanned = path.stat().st_mtime_ns
         real_rename = os.rename
         state = {"raced": False}
 
@@ -216,7 +217,7 @@ class TestGC:
             return real_rename(source, destination)
 
         monkeypatch.setattr(os, "rename", racing)
-        assert cache._evict(path) == 0
+        assert cache._evict(path, scanned) == 0
         assert json.loads(path.read_text())["value"] == {"v": 2}
         assert not list(cache.root.rglob("*.gc"))
 
@@ -226,6 +227,7 @@ class TestGC:
         """The loser of a rename race frees zero bytes."""
         key = stable_hash({"k": "victim"})
         path = put_aged(cache, key, {"v": 1}, 600)
+        scanned = path.stat().st_mtime_ns
         real_rename = os.rename
 
         def stolen(source, destination):
@@ -235,10 +237,37 @@ class TestGC:
             return real_rename(source, destination)
 
         monkeypatch.setattr(os, "rename", stolen)
-        assert cache._evict(path) == 0
+        assert cache._evict(path, scanned) == 0
         monkeypatch.undo()
         assert not path.exists()
-        assert cache._evict(path) == 0
+        assert cache._evict(path, scanned) == 0
+
+    def test_put_between_scan_and_evict_survives(
+        self, cache, monkeypatch
+    ):
+        """The put-vs-gc race, forced deterministically: a ``put``
+        refreshes the oldest entry after the GC's scan but before its
+        eviction.  The GC must judge the victim by the mtime it
+        scanned, so the fresh entry is restored, not deleted."""
+        key = stable_hash({"k": "raced"})
+        filler = stable_hash({"k": "filler"})
+        target = put_aged(cache, key, {"fresh": False}, 600)
+        kept = put_aged(cache, filler, {"fill": True}, 300)
+        cap = max(target.stat().st_size, kept.stat().st_size) + 16
+        real_scan = PlanCache._scan
+
+        def scan_then_put(self):
+            entries = list(real_scan(self))
+            cache.put("report", key, {"fresh": True})
+            return entries
+
+        monkeypatch.setattr(PlanCache, "_scan", scan_then_put)
+        cache.gc(cap)
+        monkeypatch.undo()
+        assert json.loads(target.read_text())["value"] == {
+            "fresh": True
+        }
+        assert not list(cache.root.rglob("*.gc"))
 
     def test_put_vs_gc_race_leaves_a_valid_entry(self, tmp_path):
         """Spawn-context two-process race: one process refreshes a

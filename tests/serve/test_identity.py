@@ -114,6 +114,29 @@ def test_served_plan_matches_cold_cli(
     assert served == cold
 
 
+@pytest.mark.parametrize("budget", [BUDGET_COMPLETE, BUDGET_FALLBACK])
+def test_warm_cli_hit_after_cold_miss_matches_served(
+    budget, tmp_path, monkeypatch
+):
+    """A CLI plan served from the disk cache prints the same bytes as
+    the miss that filled it, and both equal the served body."""
+    request = plan_request(budget=budget)
+    if budget is None:
+        del request["budget"]
+    served = served_body(request)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reports = tmp_path / "report"
+    code, cold = cold_cli(*plan_args(POINT, budget=budget))
+    assert code == 0
+    filled = sorted(reports.rglob("*.json"))
+    assert filled
+    code, warm = cold_cli(*plan_args(POINT, budget=budget))
+    assert code == 0
+    # A hit writes nothing: the report entries are exactly the miss's.
+    assert sorted(reports.rglob("*.json")) == filled
+    assert served == cold == warm
+
+
 def test_served_infeasible_diagnosis_matches_cold_cli(
     shrunken_edge,
 ):
