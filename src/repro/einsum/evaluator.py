@@ -14,17 +14,50 @@ cascade semantics step by step, including the ``m1`` recurrence loop of
 from __future__ import annotations
 
 import string
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
 from repro.einsum.cascade import Cascade
-from repro.einsum.operation import (
-    MAP_FUNCTIONS,
-    REDUCE_FUNCTIONS,
-    EinsumOp,
-    OpKind,
-)
+from repro.einsum.operation import EinsumOp, OpKind
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """Exact GeLU using the Gaussian CDF (erf form)."""
+    from math import sqrt
+
+    from scipy.special import erf  # scipy is an allowed dependency
+
+    return 0.5 * x * (1.0 + erf(x / sqrt(2.0)))
+
+
+#: Map functions: name -> callable over broadcast-aligned input arrays
+#: plus an optional ``const`` (arities:
+#: :data:`repro.einsum.operation.MAP_ARITY`).
+MAP_FUNCTIONS: Dict[str, Callable[..., np.ndarray]] = {
+    "identity": lambda a, const=None: a,
+    "add": lambda a, b, const=None: a + b,
+    "sub": lambda a, b, const=None: a - b,
+    "mul": lambda a, b, const=None: a * b,
+    "div": lambda a, b, const=None: a / b,
+    "max": lambda a, b, const=None: np.maximum(a, b),
+    "exp": lambda a, const=None: np.exp(a),
+    "exp_diff": lambda a, b, const=None: np.exp(a - b),
+    "scale": lambda a, const=None: a * const,
+    "add_const": lambda a, const=None: a + const,
+    "square": lambda a, const=None: a * a,
+    "rsqrt": lambda a, const=None: 1.0 / np.sqrt(a),
+    "relu": lambda a, const=None: np.maximum(a, 0.0),
+    "gelu": lambda a, const=None: _gelu(a),
+    "silu": lambda a, const=None: a / (1.0 + np.exp(-a)),
+}
+
+#: Reduction functions: name -> numpy reducer (names:
+#: :data:`repro.einsum.operation.REDUCE_NAMES`).
+REDUCE_FUNCTIONS: Dict[str, Callable[..., np.ndarray]] = {
+    "sum": np.sum,
+    "max": np.max,
+}
 
 def _aligned(
     array: np.ndarray,
@@ -87,7 +120,7 @@ def evaluate_op(
             )
         return result
     if op.kind is OpKind.MAP:
-        fn = MAP_FUNCTIONS[op.fn][1]
+        fn = MAP_FUNCTIONS[op.fn]
         aligned = [
             _aligned(arr, t.dims, op.output.dims)
             for arr, t in zip(arrays, op.inputs)

@@ -22,9 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.einsum.tensor import TensorSpec
 
@@ -37,40 +35,30 @@ class OpKind(enum.Enum):
     REDUCTION = "reduction"
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """Exact GeLU using the Gaussian CDF (erf form)."""
-    from math import sqrt
-
-    from scipy.special import erf  # scipy is an allowed dependency
-
-    return 0.5 * x * (1.0 + erf(x / sqrt(2.0)))
-
-
-#: Registry of map functions: name -> (arity, callable).  The callable
-#: receives broadcast-aligned input arrays plus an optional ``const``.
-MAP_FUNCTIONS: Dict[str, Tuple[int, Callable[..., np.ndarray]]] = {
-    "identity": (1, lambda a, const=None: a),
-    "add": (2, lambda a, b, const=None: a + b),
-    "sub": (2, lambda a, b, const=None: a - b),
-    "mul": (2, lambda a, b, const=None: a * b),
-    "div": (2, lambda a, b, const=None: a / b),
-    "max": (2, lambda a, b, const=None: np.maximum(a, b)),
-    "exp": (1, lambda a, const=None: np.exp(a)),
-    "exp_diff": (2, lambda a, b, const=None: np.exp(a - b)),
-    "scale": (1, lambda a, const=None: a * const),
-    "add_const": (1, lambda a, const=None: a + const),
-    "square": (1, lambda a, const=None: a * a),
-    "rsqrt": (1, lambda a, const=None: 1.0 / np.sqrt(a)),
-    "relu": (1, lambda a, const=None: np.maximum(a, 0.0)),
-    "gelu": (1, lambda a, const=None: _gelu(a)),
-    "silu": (1, lambda a, const=None: a / (1.0 + np.exp(-a))),
+#: Map-function arities: name -> input count.  The callables live with
+#: the NumPy evaluator (:data:`repro.einsum.evaluator.MAP_FUNCTIONS`),
+#: so building and scheduling cascades never imports NumPy.
+MAP_ARITY: Dict[str, int] = {
+    "identity": 1,
+    "add": 2,
+    "sub": 2,
+    "mul": 2,
+    "div": 2,
+    "max": 2,
+    "exp": 1,
+    "exp_diff": 2,
+    "scale": 1,
+    "add_const": 1,
+    "square": 1,
+    "rsqrt": 1,
+    "relu": 1,
+    "gelu": 1,
+    "silu": 1,
 }
 
-#: Registry of reduction functions: name -> numpy reducer.
-REDUCE_FUNCTIONS: Dict[str, Callable[..., np.ndarray]] = {
-    "sum": np.sum,
-    "max": np.max,
-}
+#: Reduction-function names (reducers:
+#: :data:`repro.einsum.evaluator.REDUCE_FUNCTIONS`).
+REDUCE_NAMES: Tuple[str, ...] = ("sum", "max")
 
 
 @dataclass(frozen=True)
@@ -82,8 +70,8 @@ class EinsumOp:
         kind: Operation kind (contraction / map / reduction).
         inputs: Input tensor specs, in evaluation order.
         output: Output tensor spec.
-        fn: Map- or reduce-function name, looked up in the registries
-            above.  ``None`` for plain contractions.
+        fn: Map- or reduce-function name, one of :data:`MAP_ARITY`
+            or :data:`REDUCE_NAMES`.  ``None`` for plain contractions.
         const: Optional scalar used by ``scale`` / ``add_const`` maps.
         bias: Optional bias tensor added (broadcast) after a contraction.
         state_inputs: Names of inputs that are *recurrent state* --
@@ -137,11 +125,11 @@ class EinsumOp:
                         f"{sorted(stray_bias)} not in output"
                     )
         elif self.kind is OpKind.MAP:
-            if self.fn not in MAP_FUNCTIONS:
+            if self.fn not in MAP_ARITY:
                 raise ValueError(
                     f"map op {self.name!r}: unknown fn {self.fn!r}"
                 )
-            arity = MAP_FUNCTIONS[self.fn][0]
+            arity = MAP_ARITY[self.fn]
             if len(self.inputs) != arity:
                 raise ValueError(
                     f"map op {self.name!r}: fn {self.fn!r} expects {arity} "
@@ -156,7 +144,7 @@ class EinsumOp:
                         "reduction in map ops)"
                     )
         elif self.kind is OpKind.REDUCTION:
-            if self.fn not in REDUCE_FUNCTIONS:
+            if self.fn not in REDUCE_NAMES:
                 raise ValueError(
                     f"reduction {self.name!r}: unknown fn {self.fn!r}"
                 )

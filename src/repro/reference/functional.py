@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.einsum.operation import MAP_FUNCTIONS
+from repro.einsum.evaluator import MAP_FUNCTIONS
 
 
 def qkv_projection(
@@ -135,7 +135,7 @@ def feed_forward(
     Returns:
         FFN output ``[h, f, p]``.
     """
-    act = MAP_FUNCTIONS[activation][1]
+    act = MAP_FUNCTIONS[activation]
     hidden = np.einsum("hfp,hfs->sp", nr, wf1) + bf1[:, None]
     activated = act(hidden)
     return (

@@ -799,6 +799,7 @@ def _parallel_outcomes(
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
@@ -813,18 +814,25 @@ def _parallel_outcomes(
             initializer=_worker_init,
             initargs=(env,),
         )
-        futures = {
-            chain_id: pool.submit(
-                _run_chain, chains[chain_id], warm_start, chain_id,
-                attempt, indices[chain_id], False,
-            )
-            for chain_id, attempt in sorted(pending.items())
-        }
+        futures: Dict[int, Any] = {}
+        unsubmitted: List[int] = []
+        for chain_id, attempt in sorted(pending.items()):
+            try:
+                futures[chain_id] = pool.submit(
+                    _run_chain, chains[chain_id], warm_start,
+                    chain_id, attempt, indices[chain_id], False,
+                )
+            except BrokenProcessPool:
+                # A worker died before every chain was queued; the
+                # rest never ran, so they join the next round
+                # uncharged, like stranded chains.
+                unsubmitted.append(chain_id)
         failures: Dict[int, SweepError] = {}
         abandoned, stranded = _collect_round(
             futures, chains, pending, timeout, journal, warm_start,
             outcomes, failures,
         )
+        stranded = sorted(stranded + unsubmitted)
         if abandoned:
             # Kill before shutdown(): shutdown drops the executor's
             # process references, after which the workers could no

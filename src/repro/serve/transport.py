@@ -28,8 +28,9 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
 import sys
-from typing import Any, Optional, TextIO, Tuple
+from typing import Any, Dict, Optional, TextIO, Tuple
 
 from repro.serve.app import ServeApp
 
@@ -38,6 +39,45 @@ from repro.serve.app import ServeApp
 MAX_BODY_BYTES = 1 << 20
 
 _HTTP_PATHS = ("/v1", "/")
+
+#: The listening and accepted sockets of this process, by fd.  A pool
+#: worker forked while a request is open would otherwise keep copies
+#: of them, so the client would see no EOF until that worker exits.
+_SERVING_SOCKETS: Dict[int, Any] = {}
+
+
+def _track_socket(sock: Any) -> None:
+    """Record ``sock`` for release in forked children."""
+    for fd, known in list(_SERVING_SOCKETS.items()):
+        if known.fileno() != fd:
+            del _SERVING_SOCKETS[fd]
+    _SERVING_SOCKETS[sock.fileno()] = sock
+
+
+def _release_serving_sockets() -> None:
+    """In a forked child: drop its copies of the serving sockets.
+
+    Each still-open fd is pointed at ``/dev/null`` rather than
+    closed, so the child's stale socket objects can never close a
+    number the child has since reused.  The parent's sockets are
+    untouched.
+    """
+    live = [
+        fd for fd, sock in _SERVING_SOCKETS.items()
+        if sock.fileno() == fd
+    ]
+    _SERVING_SOCKETS.clear()
+    if not live:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in live:
+            os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+os.register_at_fork(after_in_child=_release_serving_sockets)
 
 
 def _http_response(
@@ -90,6 +130,7 @@ async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    _track_socket(writer.get_extra_info("socket"))
     try:
         try:
             method, path, body = await _read_request(reader)
@@ -152,12 +193,15 @@ async def start_http_server(
     Pass ``port=0`` to bind an ephemeral port (tests); read the
     bound address off ``server.sockets[0].getsockname()``.
     """
-    return await asyncio.start_server(
+    server = await asyncio.start_server(
         lambda reader, writer: _handle_connection(
             app, reader, writer
         ),
         host, port,
     )
+    for sock in server.sockets:
+        _track_socket(sock)
+    return server
 
 
 async def serve_http(

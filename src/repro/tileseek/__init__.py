@@ -7,44 +7,29 @@ buffer model; feasible leaves are scored by the analytical simulator
 (DRAM energy or latency) and the scores drive UCB-guided Monte Carlo
 Tree Search.
 
-Evaluation runs batched by default: rollout frontiers and prune
-probes are priced through :class:`BatchedTilingEvaluator`'s
-vectorized array math, with the scalar path retained as a
-byte-identical differential oracle (``REPRO_SCALAR_EVAL``).
+The production search prices candidates in exact Python integers and
+imports no NumPy.  :class:`BatchedTilingEvaluator`'s vectorized array
+math stays available for bulk pricing, bitwise equal to the scalar
+path (the ``REPRO_SCALAR_EVAL`` differential oracle).
 """
 
-from repro.tileseek.batched import (
-    BatchedAssessment,
-    BatchedTilingEvaluator,
-    exactly_priceable,
-    table2_module_words,
-)
-from repro.tileseek.buffer_model import (
-    TilingConfig,
-    fused_buffer_requirement,
-    layer_buffer_requirement,
-)
-from repro.tileseek.evaluate import TilingAssessment, assess_tiling
-from repro.tileseek.mcts import (
-    MCTSStats,
-    mcts_search,
-    mcts_search_batched,
-)
-from repro.tileseek.search import TileSeek, TileSeekResult
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "BatchedAssessment",
-    "BatchedTilingEvaluator",
-    "MCTSStats",
-    "TileSeek",
-    "TileSeekResult",
-    "TilingAssessment",
-    "TilingConfig",
-    "assess_tiling",
-    "exactly_priceable",
-    "fused_buffer_requirement",
-    "layer_buffer_requirement",
-    "mcts_search",
-    "mcts_search_batched",
-    "table2_module_words",
-]
+_EXPORTS = {
+    "repro.tileseek.batched": (
+        "BatchedAssessment", "BatchedTilingEvaluator",
+        "exactly_priceable", "table2_module_words",
+    ),
+    "repro.tileseek.buffer_model": (
+        "TilingConfig", "fused_buffer_requirement",
+        "layer_buffer_requirement",
+    ),
+    "repro.tileseek.evaluate": ("TilingAssessment", "assess_tiling"),
+    "repro.tileseek.mcts": (
+        "MCTSStats", "mcts_search", "mcts_search_batched",
+    ),
+    "repro.tileseek.search": ("TileSeek", "TileSeekResult"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -24,7 +24,7 @@ chunk and ``P'`` the intra-tile rows handled per PE row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.model.config import ModelConfig
 
@@ -157,6 +157,50 @@ def fused_buffer_requirement(
         layer_buffer_requirement(module, cfg, model)
         for module in FUSED_MODULES
     )
+
+
+def table2_footprint(
+    model: ModelConfig, m0: int, rows: int
+) -> Callable[[int, int, int, int, int], int]:
+    """:func:`fused_buffer_requirement` as a function of the searched
+    factors ``(b, d, m1, p, s)``, with every model constant hoisted.
+
+    TileSeek's feasibility prune probes the footprint thousands of
+    times per search with only the searched factors varying; building
+    a :class:`TilingConfig` and dispatching through
+    :func:`layer_buffer_requirement` per probe dominates that loop.
+    The returned function evaluates the same four Table-2 rows in
+    exact Python integers, so its result equals the per-module
+    formulas' peak for every input.
+
+    Args:
+        model: Model shapes.
+        m0: Inner key/value tile length (2D-array columns).
+        rows: 2D-array rows (sets ``P' = ceil(p / rows)``).
+    """
+    h, e, f = model.heads, model.e_head, model.f_head
+    hk = model.effective_kv_heads
+    kv_tile = 3 * m0
+    qkv_weights = e * (h + 2 * hk)
+    mha_kv = 2 * hk * m0
+    mha_state = 2 + 2 * f
+    mha_staging = 4 * m0 + 18
+    hf = h * f
+
+    def footprint(b: int, d: int, m1: int, p: int, s: int) -> int:
+        p_prime = -(-p // rows)
+        return max(
+            b * d * (4 * p + kv_tile * m1)
+            + d * qkv_weights
+            + 2 * b * h * p,
+            b * e * (h * p + mha_kv * m1)
+            + b * h * p * mha_state
+            + mha_staging * p_prime,
+            3 * b * hf * p + 4 * hf * p_prime,
+            hf * (2 * b * p + s) + s * (p + 2) + 2 * s * p_prime,
+        )
+
+    return footprint
 
 
 def intra_tile_p_prime(p: int, rows: int) -> int:

@@ -35,8 +35,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.resilience.budget import Budget
 
 Assignment = Tuple[int, ...]
@@ -44,14 +42,6 @@ Evaluate = Callable[[Assignment], float]
 EvaluateBatch = Callable[[Sequence[Assignment]], Sequence[float]]
 Prune = Callable[[Assignment], bool]
 Viable = Callable[[Assignment, int], List[int]]
-
-#: Child count below which UCB1 selection runs as a scalar loop --
-#: NumPy's per-ufunc dispatch overhead dominates tiny arrays (typical
-#: tiling grids have 8-25 candidates per level).  Both engines compute
-#: the same correctly-rounded expression, so the choice is invisible
-#: in results.
-VECTOR_SELECT_MIN = 32
-
 
 @dataclass
 class _Node:
@@ -224,98 +214,54 @@ def mcts_search(
 
 
 class _BNode:
-    """Array-backed search-tree node for the batched driver.
+    """Slotted search-tree node for the batched driver.
 
-    Child statistics live in preallocated NumPy arrays on the
-    *parent* (``child_visits`` / ``child_totals``, one slot per
-    expansion in expansion order -- the same iteration order as the
-    scalar driver's insertion-ordered ``children`` dict), so UCB1
-    selection is one vectorized expression instead of a ``max`` over
-    per-child lambdas.  Scalar ``visits`` / ``total_reward`` mirrors
-    are kept per node for ``log(N)`` and backpropagation.
+    Children are kept in expansion order -- the same iteration order
+    as the scalar driver's insertion-ordered ``children`` dict -- so
+    UCB1 selection visits them in the order the scalar ``max`` does.
     """
 
-    __slots__ = (
-        "prefix", "untried", "parent", "slot", "visits",
-        "total_reward", "children", "n_children", "child_visits",
-        "child_totals",
-    )
+    __slots__ = ("prefix", "untried", "visits", "total_reward",
+                 "children")
 
-    def __init__(
-        self,
-        prefix: Assignment,
-        untried: List[int],
-        parent: Optional["_BNode"] = None,
-        slot: int = 0,
-    ) -> None:
+    def __init__(self, prefix: Assignment, untried: List[int]) -> None:
         self.prefix = prefix
         self.untried = untried
-        self.parent = parent
-        self.slot = slot
         self.visits = 0
         self.total_reward = 0.0
         self.children: List["_BNode"] = []
-        self.n_children = 0
-        capacity = len(untried)
-        self.child_visits = np.zeros(capacity, dtype=np.int64)
-        self.child_totals = np.zeros(capacity, dtype=np.float64)
-
-    def add_child(self, child: "_BNode") -> None:
-        child.slot = self.n_children
-        self.children.append(child)
-        self.n_children += 1
 
     def select_child(self, exploration: float) -> "_BNode":
-        """Vectorized UCB1, bit-identical to the scalar rule.
+        """UCB1, bit-identical to the scalar rule.
 
-        Zero-visit children score ``inf``; ``argmax`` returns the
-        first, matching Python ``max``'s first-max tie-break.  For the
-        visited case every float operation mirrors the scalar
-        ``mean + c * sqrt(log(N) / n)`` term for term: true division
-        and ``sqrt`` are correctly rounded IEEE operations, and
-        ``log(N)`` stays a scalar ``math.log`` call (NumPy's
-        vectorized ``log`` is not guaranteed bit-equal).
-
-        Below :data:`VECTOR_SELECT_MIN` children the arrays lose to
-        ufunc dispatch overhead, so a plain loop computes the same
-        correctly-rounded expression from the nodes' scalar mirrors
-        -- identical bits either way, only the arithmetic engine
-        differs.
+        Zero-visit children score ``inf``, so the first one wins,
+        matching Python ``max``'s first-max tie-break.  For the
+        visited case each score is the scalar
+        ``mean + c * sqrt(log(N) / n)`` term for term, with ``log(N)``
+        computed once per selection instead of once per child -- the
+        same correctly-rounded value either way.
         """
-        n = self.n_children
         children = self.children
-        if n < VECTOR_SELECT_MIN:
-            for child in children:
-                if child.visits == 0:
-                    return child
-            log_n = math.log(self.visits)
-            best = children[0]
-            count = best.visits
-            best_score = (
-                best.total_reward / count
+        for child in children:
+            if child.visits == 0:
+                return child
+        log_n = math.log(self.visits)
+        best = children[0]
+        count = best.visits
+        best_score = (
+            best.total_reward / count
+            + exploration * math.sqrt(log_n / count)
+        )
+        for child in children[1:]:
+            count = child.visits
+            score = (
+                child.total_reward / count
                 + exploration * math.sqrt(log_n / count)
             )
-            for child in children[1:]:
-                count = child.visits
-                score = (
-                    child.total_reward / count
-                    + exploration * math.sqrt(log_n / count)
-                )
-                if score > best_score:
-                    best_score = score
-                    best = child
-            return best
-        visits = self.child_visits[:n]
-        if visits.min() == 0:
-            choice = int(np.argmax(visits == 0))
-        else:
-            totals = self.child_totals[:n]
-            log_n = math.log(self.visits)
-            scores = totals / visits + exploration * np.sqrt(
-                log_n / visits
-            )
-            choice = int(np.argmax(scores))
-        return self.children[choice]
+            if score > best_score:
+                best_score = score
+                best = child
+        return best
 
 
 def mcts_search_batched(
@@ -331,8 +277,8 @@ def mcts_search_batched(
 
     Same contract and statistics as the scalar driver, but leaves are
     priced through ``evaluate_batch`` -- whole frontiers in one call --
-    and candidate filtering goes through a ``viable`` oracle (the
-    batched minimal-completion prune) instead of a per-candidate
+    and candidate filtering goes through a ``viable`` oracle (a
+    per-prefix minimal-completion prune) instead of a per-candidate
     ``prune`` predicate.
 
     Byte-identity rests on two invariants:
@@ -349,8 +295,7 @@ def mcts_search_batched(
       folded back in original iteration order (best-incumbent updates
       and backpropagation included), after which the driver proceeds
       one leaf per batch -- selection is reward-dependent from then
-      on, and the remaining speedup comes from vectorized selection
-      and the batched prune/evaluator underneath.
+      on.
 
     Args:
         levels: Candidate values per decision level, in order.
@@ -362,7 +307,8 @@ def mcts_search_batched(
         exploration: UCB1 exploration constant.
         viable: ``(prefix, level) -> values`` returning the level's
             candidates with a feasible minimal completion under the
-            prefix, in level order; ``None`` means no pruning.
+            prefix, in level order; ``None`` means no pruning.  The
+            driver copies each list, so the oracle may memoise them.
         budget: Optional deterministic unit budget, charged one unit
             per iteration; exhaustion ends the search with its
             best-so-far result.
@@ -379,9 +325,11 @@ def mcts_search_batched(
     depth = len(levels)
 
     def viable_values(prefix: Assignment, level: int) -> List[int]:
+        # A fresh list per call, as the scalar driver builds: nodes pop
+        # their ``untried`` list, which must not alias a memoised one.
         if viable is None:
             return list(levels[level])
-        return viable(prefix, level)
+        return list(viable(prefix, level))
 
     root = _BNode(prefix=(), untried=viable_values((), 0))
     best_reward = -1.0
@@ -426,9 +374,8 @@ def mcts_search_batched(
                         if level < depth
                         else []
                     ),
-                    parent=node,
                 )
-                node.add_child(child)
+                node.children.append(child)
                 node = child
                 path.append(node)
                 node_count += 1
@@ -468,10 +415,6 @@ def mcts_search_batched(
             for visited in path:
                 visited.visits += 1
                 visited.total_reward += reward
-                parent = visited.parent
-                if parent is not None:
-                    parent.child_visits[visited.slot] += 1
-                    parent.child_totals[visited.slot] += reward
 
     return MCTSStats(
         iterations=performed,

@@ -7,9 +7,9 @@ leaves; Timeloop-style evaluation is the expensive step in the paper).
 
 Two interchangeable evaluation paths drive the same search:
 
-* the **batched** default, which prices rollout frontiers and prune
-  probes through :mod:`repro.tileseek.batched` (vectorized NumPy
-  array math), and
+* the **batched** default, which drives the frontier-batched MCTS
+  and prunes each prefix once per candidate level with a hoisted
+  exact-integer Table-2 footprint, in plain Python, and
 * the **scalar oracle** (``REPRO_SCALAR_EVAL=1`` or
   ``search(..., scalar=True)``), the original one-candidate-at-a-time
   path, kept verbatim as the differential reference.
@@ -36,15 +36,12 @@ from repro.resilience.budget import (
 )
 from repro.resilience.ladder import classify_rung
 from repro.settings import env_bool
-from repro.tileseek.batched import (
-    BatchedTilingEvaluator,
-    exactly_priceable,
-)
 from repro.tileseek.buffer_model import (
     TilingConfig,
     fused_buffer_requirement,
     intra_tile_p_prime,
     max_feasible_q_tile,
+    table2_footprint,
 )
 from repro.tileseek.evaluate import (
     TilingAssessment,
@@ -59,11 +56,6 @@ from repro.tileseek.mcts import (
 
 #: Search order of the outer tiling factors (one MCTS tree level each).
 FACTOR_ORDER: Tuple[str, ...] = ("b", "d", "m1", "p", "s")
-
-#: Fresh-candidate count below which a batch is priced by the scalar
-#: evaluator instead of the vectorized one (NumPy dispatch overhead
-#: dominates one-row matrices; both produce identical bits).
-VECTOR_PRICE_MIN = 4
 
 
 def _tile_candidates(limit: int, minimum: int = 1) -> List[int]:
@@ -464,15 +456,17 @@ class TileSeek:
         allow_fallback: Optional[bool] = None,
         learned: Sequence[Sequence[int]] = (),
     ) -> TileSeekResult:
-        """The batched evaluation path (the default).
+        """The production evaluation path (the default).
 
         Mirrors :meth:`search_scalar` decision for decision -- same
         grid, RNG trajectory, budget charging, caching and provenance
-        -- but prices rollout frontiers, prune probes and the
-        incumbent pool through the vectorized evaluator.  Candidates
-        whose factors are too large for exact float64 conversion
-        (pathological warm starts) route through the scalar evaluator
-        row by row, keeping results bit-identical.
+        -- but drives the frontier-batched MCTS: rollout frontiers are
+        priced in one call each, and the feasibility prune runs once
+        per unique prefix over a whole candidate level, with the
+        Table-2 constants hoisted and an early exit at the first
+        overflowing value.  Every candidate is priced by
+        :func:`assess_tiling` itself, so results are the scalar
+        oracle's bits by construction.
         """
         grid = self.candidate_grid(workload, arch)
         fixed = self.fixed_factors(arch)
@@ -488,17 +482,15 @@ class TileSeek:
         minimal = self._minimal_point(grid)
         minimal_cfg = self._config_from(minimal, fixed)
         # Lazy imports: same cycle constraints as the scalar path.
-        from repro.resilience.diagnostics import (
-            diagnose_infeasible_batch,
-        )
+        from repro.resilience.diagnostics import diagnose_infeasible
 
-        diagnosis = diagnose_infeasible_batch(
+        diagnosis = diagnose_infeasible(
             workload.model,
             arch.buffer_words,
             m0=fixed["m0"],
             rows=fixed["rows"],
-            cfgs=[minimal_cfg],
-        )[0]
+            cfg=minimal_cfg,
+        )
         if diagnosis is not None:
             from repro.runner.faults import InfeasiblePoint
 
@@ -506,15 +498,8 @@ class TileSeek:
                 f"{workload.describe()} on {arch.name}",
                 diagnosis.as_dict(),
             )
-        evaluator = BatchedTilingEvaluator(
-            workload,
-            arch,
-            m0=fixed["m0"],
-            rows=fixed["rows"],
-            reward_metric=self.reward_metric,
-        )
-        reference_assessment = evaluator.assessment_at(
-            evaluator.assess(evaluator.matrix_from([minimal])), 0
+        reference_assessment = assess_tiling(
+            minimal_cfg, workload, arch
         )
         reference = reference_assessment.dram_words
         cache: Dict[
@@ -532,26 +517,13 @@ class TileSeek:
         def evaluate_batch(
             assignments: Sequence[Tuple[int, ...]],
         ) -> List[float]:
-            # One vectorized pricing pass over the batch's unique
-            # cache misses; equivalent to calling the scalar
-            # ``evaluate`` closure sequentially (duplicates within a
-            # batch hit the first occurrence's cached entry).
-            fresh = []
-            seen = set()
+            # Equivalent to calling the scalar ``evaluate`` closure
+            # sequentially: duplicates within a batch hit the first
+            # occurrence's cached entry.
             for assignment in assignments:
-                if assignment not in cache and assignment not in seen:
-                    seen.add(assignment)
-                    fresh.append(assignment)
-            exact = [a for a in fresh if exactly_priceable(a)]
-            # Tiny batches (a single rollout leaf once the root burst
-            # is spent) lose to per-ufunc dispatch overhead: price
-            # them scalar -- bit-identical either way.
-            if len(exact) >= VECTOR_PRICE_MIN:
-                batch = evaluator.assess(
-                    evaluator.matrix_from(exact)
-                )
-                for row, assignment in enumerate(exact):
-                    assessment = evaluator.assessment_at(batch, row)
+                if assignment not in cache:
+                    cfg = self._config_from(assignment, fixed)
+                    assessment = assess_tiling(cfg, workload, arch)
                     cache[assignment] = (
                         reward_for(
                             assessment, reference,
@@ -559,25 +531,17 @@ class TileSeek:
                         ),
                         assessment,
                     )
-            for assignment in fresh:
-                if assignment in cache:
-                    continue
-                cfg = self._config_from(assignment, fixed)
-                assessment = assess_tiling(cfg, workload, arch)
-                cache[assignment] = (
-                    reward_for(
-                        assessment, reference, self.reward_metric
-                    ),
-                    assessment,
-                )
             return [cache[a][0] for a in assignments]
 
-        # The minimal-completion prune, one vectorized call per
-        # unique prefix covering the whole candidate level (the
-        # scalar path prices the same completions one at a time).
-        grid_dtype = evaluator.words_dtype(
-            [max(grid[name]) for name in FACTOR_ORDER]
+        # The minimal-completion prune, once per unique prefix over
+        # the whole candidate level.  Levels ascend and Table 2 is
+        # monotone in every factor, so the first overflowing value
+        # ends the walk: every larger value overflows too, and the
+        # kept values are exactly those the scalar prune keeps.
+        footprint = table2_footprint(
+            workload.model, fixed["m0"], fixed["rows"]
         )
+        capacity = arch.buffer_words
         viable_cache: Dict[Tuple[int, ...], List[int]] = {}
 
         def viable(
@@ -585,10 +549,12 @@ class TileSeek:
         ) -> List[int]:
             values = viable_cache.get(prefix)
             if values is None:
-                values = evaluator.viable_values(
-                    prefix, levels[level], minimal,
-                    dtype=grid_dtype,
-                )
+                tail = minimal[level + 1:]
+                values = []
+                for value in levels[level]:
+                    if footprint(*prefix, value, *tail) > capacity:
+                        break
+                    values.append(value)
                 viable_cache[prefix] = values
             return values
 
@@ -604,7 +570,7 @@ class TileSeek:
         best_assignment = stats.best_assignment
         best_reward = stats.best_reward
         # Greedy incumbent pool (anchor line + warm starts), priced
-        # in one batch; the fold mirrors the scalar loop in order.
+        # in one call; the fold mirrors the scalar loop in order.
         anchor_p = max(
             viable((minimal[0], minimal[1], minimal[2]), 3),
             default=minimal[3],

@@ -5,12 +5,20 @@ import pytest
 
 from repro.einsum.cascade import Cascade
 from repro.einsum.evaluator import (
+    MAP_FUNCTIONS,
+    REDUCE_FUNCTIONS,
     _aligned,
     _einsum_subscripts,
     evaluate_cascade,
     evaluate_op,
 )
-from repro.einsum.operation import contraction, map_op, reduction
+from repro.einsum.operation import (
+    MAP_ARITY,
+    REDUCE_NAMES,
+    contraction,
+    map_op,
+    reduction,
+)
 from repro.einsum.tensor import tensor
 
 
@@ -82,6 +90,22 @@ class TestEvaluateOp:
         )
         out = evaluate_op(op, {"X": x}, {"h": 2, "f": 4})
         np.testing.assert_allclose(out, x / 8)
+
+    def test_registries_cover_the_validated_names(self):
+        # Ops validate against the numpy-free name tables; every name
+        # they accept must have an evaluator callable.
+        assert set(MAP_FUNCTIONS) == set(MAP_ARITY)
+        assert set(REDUCE_FUNCTIONS) == set(REDUCE_NAMES)
+
+    @pytest.mark.parametrize("fn", sorted(MAP_ARITY))
+    def test_every_map_fn_evaluates_at_its_arity(self, fn, rng):
+        names = ("A", "B")[:MAP_ARITY[fn]]
+        op = map_op(
+            "Y", fn, tuple(tensor(n, "p") for n in names),
+            tensor("Y", "p"), const=2.0,
+        )
+        env = {n: rng.random(3) + 0.5 for n in names}
+        assert evaluate_op(op, env, {}).shape == (3,)
 
     def test_reduction_max_over_axis(self, rng):
         x = rng.normal(size=(2, 5, 3))

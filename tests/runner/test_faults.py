@@ -361,6 +361,40 @@ class TestParallelRecovery:
         assert recovered.ok
         assert rendered(recovered) == rendered(clean)
 
+    def test_pool_broken_while_submitting_reruns_the_rest(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker can die before every chain is queued, so
+        ``submit`` itself raises ``BrokenProcessPool``.  The chains
+        not yet queued never ran: they rerun on the next round's
+        pool, uncharged, and the sweep still matches a clean one."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        points = grid()
+        clean = run_grid(points, jobs=1, cache_dir=tmp_path / "clean")
+        real_submit = ProcessPoolExecutor.submit
+        submits = []
+        pools = []
+
+        def breaking_submit(self, *args, **kwargs):
+            # The first pool breaks after accepting one chain.
+            submits.append(self)
+            if self not in pools:
+                pools.append(self)
+            if self is pools[0] and submits.count(self) > 1:
+                raise BrokenProcessPool("worker died mid-submit")
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ProcessPoolExecutor, "submit", breaking_submit
+        )
+        recovered = run_grid(points, jobs=2,
+                             cache_dir=tmp_path / "broken")
+        assert len(pools) == 2
+        assert recovered.ok
+        assert rendered(recovered) == rendered(clean)
+
     def test_worker_exit_graceful_marks_lost_chains(
         self, tmp_path, monkeypatch
     ):

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.runner.pool import InlineWorkerPool
+from repro.runner.pool import InlineWorkerPool, WorkerPool
 from repro.serve.app import ServeApp
 from repro.serve.client import parse_endpoint, remote_call
 from repro.serve.transport import (
@@ -272,6 +272,57 @@ class TestStdio:
         finally:
             app.close()
         return served, stdout.getvalue().splitlines()
+
+
+def _read_to_eof(port, document, timeout):
+    """POST ``document`` over a raw socket and read until EOF."""
+    import socket
+
+    payload = json.dumps(document).encode("utf-8")
+    with socket.create_connection(
+        ("127.0.0.1", port), timeout=timeout
+    ) as sock:
+        sock.sendall(
+            b"POST /v1 HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + str(len(payload)).encode("ascii")
+            + b"\r\n\r\n" + payload
+        )
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestForkedWorkers:
+    def test_response_reaches_eof_on_the_request_that_spawns_the_pool(
+        self,
+    ):
+        """The pool's first worker forks while the request is open;
+        it must not keep the accepted socket (or the listener) open,
+        or a ``Connection: close`` client never sees EOF."""
+        app = ServeApp(WorkerPool(1), pressure=0)
+
+        async def scenario():
+            server = await start_http_server(app, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            loop = asyncio.get_running_loop()
+            try:
+                return await loop.run_in_executor(
+                    None, _read_to_eof, port, plan_request(), 20
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        try:
+            raw = run(scenario())
+        finally:
+            app.close()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(body)["ok"] is True
 
 
 class TestClient:

@@ -5,11 +5,12 @@ and reports ``sys.modules`` afterwards:
 
 * a warm local ``plan --json`` (a disk-cache hit) loads neither numpy
   nor the search stack;
-* a cold local ``plan`` loads the search stack but none of the serving
-  stack (HTTP, asyncio, worker pools, the learned-predictor corpus);
+* a cold local ``plan`` loads the search stack but neither numpy nor
+  the serving stack (HTTP, asyncio, worker pools, the
+  learned-predictor corpus);
 * processes that fork workers -- ``make_pool`` and a parallel
   ``run_grid`` -- import the executor stack before forking, so no
-  worker pays for it again.
+  worker pays for it again, and load no numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ WARM_FORBIDDEN = (
 
 #: Modules a cold local plan must not load.
 COLD_FORBIDDEN = (
-    "repro.serve.app", "repro.serve.transport", "repro.serve.client",
+    "numpy", "repro.serve.app", "repro.serve.transport", "repro.serve.client",
     "repro.serve.fleet", "repro.runner.pool", "repro.learn.corpus",
     "asyncio", "http.client",
 )
@@ -72,6 +73,30 @@ assert run_grid(points, jobs=2).ok
 print(json.dumps(sorted(sys.modules)))
 """
 
+#: A parallel ``run_grid`` over every executor with numpy made
+#: unimportable: forked workers inherit the blocking finder, so any
+#: numpy import in the parent or a worker fails its chain.
+NUMPY_BLOCKED_GRID_PROBE = """
+import json, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
+from repro.baselines.registry import EXECUTORS
+from repro.runner import GridPoint, run_grid
+points = [
+    GridPoint(executor=executor, model="t5", seq_len=seq,
+              arch="cloud", batch=4)
+    for executor in sorted(EXECUTORS) for seq in (512, 1024)
+]
+result = run_grid(points, jobs=2)
+assert result.ok, result
+print(json.dumps(sorted(sys.modules)))
+"""
+
 
 def run_probe(script, cache_dir, *args):
     """Run ``script`` in a fresh interpreter; returns its JSON line."""
@@ -102,7 +127,7 @@ def test_warm_plan_skips_numpy_and_the_search_stack(plan_runs):
     cold, warm = plan_runs
     assert warm[0] == cold[0] == 0
     assert warm[1] == cold[1]
-    assert "numpy" in cold[2]
+    assert "numpy" not in cold[2]
     assert not set(WARM_FORBIDDEN) & set(warm[2])
 
 
@@ -117,8 +142,18 @@ def test_make_pool_preloads_the_executor_stack(tmp_path):
     assert "repro.core.executor" in loaded
 
 
+def test_make_pool_loads_no_numpy(tmp_path):
+    assert "numpy" not in run_probe(POOL_PROBE, tmp_path)
+
+
 def test_parallel_run_grid_preloads_the_executor_stack(tmp_path):
     # Only baseline executors run, so the TransFusion executor can
     # only be loaded by the pre-fork preload.
     loaded = run_probe(GRID_PROBE, tmp_path)
     assert "repro.core.executor" in loaded
+
+
+def test_parallel_run_grid_loads_no_numpy(tmp_path):
+    assert "numpy" not in run_probe(GRID_PROBE, tmp_path)
+    loaded = run_probe(NUMPY_BLOCKED_GRID_PROBE, tmp_path)
+    assert "repro.tileseek.search" in loaded

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.model.config import named_model
+from repro.arch.spec import named_architecture
+from repro.model.config import MODEL_ZOO, named_model
 from repro.model.workload import Workload
 from repro.tileseek.baseline_search import (
     ExhaustiveTilingSearch,
@@ -270,41 +271,72 @@ class TestSearchEfficiency:
     def test_batched_prune_one_call_per_unique_prefix(
         self, workload, cloud, monkeypatch
     ):
-        """The batched path's viability oracle runs one vectorized
-        call per unique prefix -- repeats hit the memo."""
-        from repro.tileseek.batched import BatchedTilingEvaluator
+        """The production viability oracle probes the Table-2
+        footprint once per candidate of each unique prefix, stopping
+        at the first overflow -- repeated prefixes hit the memo."""
+        import repro.tileseek.search as search_module
 
-        calls = []
-        real_viable = BatchedTilingEvaluator.viable_values
+        probes = [0]
+        real_footprint = search_module.table2_footprint
 
-        def recording_viable(self, prefix, values, minima, **kw):
-            calls.append(tuple(prefix))
-            return real_viable(self, prefix, values, minima, **kw)
+        def counting_footprint(model, m0, rows):
+            footprint = real_footprint(model, m0, rows)
+
+            def probe(*factors):
+                probes[0] += 1
+                return footprint(*factors)
+
+            return probe
+
+        queries = []
+        answers = {}
+        during_search = [0]
+        real_mcts = search_module.mcts_search_batched
+
+        def wrapped_mcts(levels, evaluate_batch, **kwargs):
+            inner = kwargs["viable"]
+
+            def recording_viable(prefix, level):
+                values = inner(prefix, level)
+                queries.append(prefix)
+                answers[prefix] = (len(values), len(levels[level]))
+                return values
+
+            kwargs["viable"] = recording_viable
+            stats = real_mcts(levels, evaluate_batch, **kwargs)
+            during_search[0] = probes[0]
+            return stats
 
         monkeypatch.setattr(
-            BatchedTilingEvaluator, "viable_values",
-            recording_viable,
+            search_module, "table2_footprint", counting_footprint
+        )
+        monkeypatch.setattr(
+            search_module, "mcts_search_batched", wrapped_mcts
         )
         TileSeek(iterations=300, seed=0).search(workload, cloud)
-        assert len(calls) > 0
-        assert len(calls) == len(set(calls))
+        assert len(queries) > len(answers) > 0
+        # Kept values plus the one overflowing value that ended the
+        # walk, for each unique prefix the tree walk queried.
+        expected = sum(
+            kept + (kept < offered)
+            for kept, offered in answers.values()
+        )
+        assert during_search[0] == expected
 
     def test_batched_assessment_count_matches_scalar(
         self, workload, cloud, monkeypatch
     ):
-        """The batched path prices exactly the configurations the
-        scalar oracle's cache misses price -- no duplicates, no
-        extras.  Fresh batches below ``VECTOR_PRICE_MIN`` route
-        through scalar ``assess_tiling``, so the batched run's total
-        is vectorized rows plus its own scalar fallbacks."""
+        """Production prices exactly the configurations the scalar
+        oracle's cache misses price, through the same
+        ``assess_tiling`` -- no duplicates, no extras, no other
+        pricing engine."""
         import repro.tileseek.search as search_module
-        from repro.tileseek.batched import BatchedTilingEvaluator
 
-        scalar_assessed = []
+        assessed = []
         real_assess = search_module.assess_tiling
 
         def recording_assess(config, wl, arch):
-            scalar_assessed.append(config)
+            assessed.append(config)
             return real_assess(config, wl, arch)
 
         monkeypatch.setattr(
@@ -313,24 +345,80 @@ class TestSearchEfficiency:
         TileSeek(iterations=200, seed=1).search(
             workload, cloud, scalar=True
         )
-        scalar_count = len(scalar_assessed)
-        assert scalar_count > 0
+        scalar_assessed = list(assessed)
+        assert scalar_assessed
 
-        scalar_assessed.clear()
-        batched_rows = [0]
-        real_batch_assess = BatchedTilingEvaluator.assess
+        assessed.clear()
+        TileSeek(iterations=200, seed=1).search(workload, cloud)
+        assert len(assessed) == len(set(assessed))
+        assert len(assessed) == len(scalar_assessed)
+        assert set(assessed) == set(scalar_assessed)
 
-        def recording_batch_assess(self, matrix):
-            batched_rows[0] += len(matrix)
-            return real_batch_assess(self, matrix)
+
+class TestEarlyExitPrune:
+    """The production viability oracle stops at the first overflowing
+    value of an ascending level.  Table 2 is monotone in every
+    factor, so that must keep exactly what the scalar prune keeps --
+    checked here for every prefix the search tree can reach, plus the
+    first rejected child of each (the far side of the boundary)."""
+
+    @pytest.mark.parametrize("model_name", sorted(MODEL_ZOO))
+    def test_matches_scalar_prune_on_every_prefix(
+        self, model_name, monkeypatch
+    ):
+        import repro.tileseek.search as search_module
+
+        captured = {}
+        real_mcts = search_module.mcts_search_batched
+
+        def capturing_mcts(levels, evaluate_batch, **kwargs):
+            captured.update(levels=levels, viable=kwargs["viable"])
+            return real_mcts(levels, evaluate_batch, **kwargs)
 
         monkeypatch.setattr(
-            BatchedTilingEvaluator, "assess",
-            recording_batch_assess,
+            search_module, "mcts_search_batched", capturing_mcts
         )
-        TileSeek(iterations=200, seed=1).search(workload, cloud)
-        assert batched_rows[0] > 0
-        assert batched_rows[0] + len(scalar_assessed) == scalar_count
+        checked = 0
+        for arch_name in ("cloud", "edge", "edge32", "edge64"):
+            arch = named_architecture(arch_name)
+            for seq_len in (512, 1 << 20):
+                workload = Workload(
+                    named_model(model_name), seq_len=seq_len, batch=1
+                )
+                searcher = TileSeek(iterations=1)
+                searcher.search(workload, arch)
+                levels = captured["levels"]
+                viable = captured["viable"]
+                fixed = searcher.fixed_factors(arch)
+                minimal = tuple(values[0] for values in levels)
+
+                def scalar_keeps(partial):
+                    # The scalar oracle's prune, verbatim.
+                    cfg = searcher._config_from(
+                        partial + minimal[len(partial):], fixed
+                    )
+                    return fused_buffer_requirement(
+                        cfg, workload.model
+                    ) <= arch.buffer_words
+
+                frontier = [()]
+                for level, values in enumerate(levels):
+                    deeper = []
+                    for prefix in frontier:
+                        kept = viable(prefix, level)
+                        expected = [
+                            v for v in values
+                            if scalar_keeps(prefix + (v,))
+                        ]
+                        assert kept == expected, (
+                            arch_name, seq_len, prefix
+                        )
+                        checked += 1
+                        deeper.extend(prefix + (v,) for v in kept)
+                        if len(kept) < len(values):
+                            deeper.append(prefix + (values[len(kept)],))
+                    frontier = deeper
+        assert checked > 1000
 
 
 class TestEvaluationCounting:
