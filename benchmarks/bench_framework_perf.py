@@ -75,11 +75,9 @@ def test_fused_planner_speedup_over_legacy(benchmark, perf_log,
     noise cancels out.  The plans must also be identical -- speed
     without byte-identity would be a regression, not a win.
     """
-    from repro.dpipe.planner import (
-        clear_kernel_cache,
-        plan_cascade_legacy,
-    )
+    from repro.dpipe.planner import clear_kernel_cache
     from repro.validate import force_validation
+    from tests.oracles.dpipe_legacy import plan_cascade_legacy
 
     monkeypatch.setenv("REPRO_CACHE", "0")
     arch, cascade, tile = _mha_planning_inputs()

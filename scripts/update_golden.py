@@ -28,7 +28,7 @@ os.environ["REPRO_VALIDATE"] = "1"
 
 
 def main() -> int:
-    from repro.runner.parallel import compute_report
+    from repro.runner.chain import compute_report
     from repro.validate.golden import (
         GOLDEN_DEGRADED_BUDGET,
         golden_degraded_document,

@@ -22,37 +22,21 @@ Niu).  It provides:
   per-figure experiment generators.
 """
 
-from repro.arch.spec import (
-    ArchitectureSpec,
-    cloud_architecture,
-    edge_architecture,
-)
-from repro.model.config import ModelConfig, named_model
-from repro.model.workload import Workload
+from repro._exports import export_names, lazy_exports
 
+# Every export resolves on first access: ``repro.core`` pulls in every
+# subsystem (scheduler, search, cost model), and even the architecture
+# and model presets are more than a disk-cache hit needs.
+_EXPORTS = {
+    "repro.arch.spec": (
+        "ArchitectureSpec", "cloud_architecture", "edge_architecture",
+    ),
+    "repro.core.framework": ("TransFusion", "compare_executors"),
+    "repro.model.config": ("ModelConfig", "named_model"),
+    "repro.model.workload": ("Workload",),
+}
 
-def __getattr__(name: str):
-    """Lazily expose the core entry points.
-
-    ``repro.core`` pulls in every subsystem (scheduler, search, cost
-    model); deferring the import keeps ``import repro`` cheap for users
-    who only need the IR or the architecture models.
-    """
-    if name in ("TransFusion", "compare_executors"):
-        from repro.core import framework
-
-        return getattr(framework, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-__all__ = [
-    "ArchitectureSpec",
-    "ModelConfig",
-    "TransFusion",
-    "Workload",
-    "cloud_architecture",
-    "compare_executors",
-    "edge_architecture",
-    "named_model",
-]
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"

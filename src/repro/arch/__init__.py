@@ -6,23 +6,17 @@ arrays -- a 2D PE array for matrix-dense work and a 1D PE array for
 streaming/vector work.
 """
 
-from repro.arch.energy import EnergyModel
-from repro.arch.memory import MemoryLevel
-from repro.arch.pe import PEArray, PEArrayKind
-from repro.arch.spec import (
-    ArchitectureSpec,
-    cloud_architecture,
-    edge_architecture,
-    named_architecture,
-)
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "ArchitectureSpec",
-    "EnergyModel",
-    "MemoryLevel",
-    "PEArray",
-    "PEArrayKind",
-    "cloud_architecture",
-    "edge_architecture",
-    "named_architecture",
-]
+_EXPORTS = {
+    "repro.arch.energy": ("EnergyModel",),
+    "repro.arch.memory": ("MemoryLevel",),
+    "repro.arch.pe": ("PEArray", "PEArrayKind"),
+    "repro.arch.spec": (
+        "ArchitectureSpec", "cloud_architecture", "edge_architecture",
+        "named_architecture",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

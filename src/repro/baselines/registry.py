@@ -5,7 +5,7 @@ examples) to executor classes and their constructor parameters.  The
 registry is the single place those parameters live:
 :func:`named_executor` constructs executors from them, and
 :func:`executor_params` hands the same values to the report cache key
-(:func:`repro.runner.parallel.report_cache_payload`), so a key never
+(:func:`repro.runner.chain.report_cache_payload`), so a key never
 needs an executor instance.  Executor modules are imported on first
 construction, which keeps this module -- and a disk-cache hit -- free
 of numpy and the search stack.

@@ -23,6 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Union
 
 from repro.arch.pe import PEArrayKind
+# Re-exported: the benchmark under perfbench/ imports it from here.
+from repro.core.wire import canonical_json  # noqa: F401
 from repro.resilience.budget import PROVENANCE_COMPLETE
 
 if TYPE_CHECKING:
@@ -217,17 +219,17 @@ _MESSAGE_FAILURES = (
 
 
 def _message_failure_type(name: str) -> Any:
-    from repro.runner import faults
+    from repro.runner import errors
 
     if name == "ServeProtocolError":
         from repro.serve.protocol import ServeProtocolError
 
         return ServeProtocolError
-    return getattr(faults, name)
+    return getattr(errors, name)
 
 
 def failure_to_dict(failure: Any) -> Dict[str, Any]:
-    """Flatten one :class:`~repro.runner.faults.SweepError` into
+    """Flatten one :class:`~repro.runner.errors.SweepError` into
     JSON-safe primitives.
 
     Typed failures round-trip field by field; message-only types
@@ -256,8 +258,8 @@ def failure_to_dict(failure: Any) -> Dict[str, Any]:
 
 def failure_from_dict(document: Dict[str, Any]) -> Any:
     """Rebuild a failure written by :func:`failure_to_dict`."""
-    from repro.runner import faults
-    from repro.runner.parallel import GridPoint
+    from repro.runner import errors
+    from repro.runner.chain import GridPoint
 
     name = document["type"]
     if name in _MESSAGE_FAILURES:
@@ -266,7 +268,7 @@ def failure_from_dict(document: Dict[str, Any]) -> Any:
         )
     fields = _FAILURE_FIELDS.get(name)
     if fields is None:
-        return faults.SweepError(document.get("message", ""))
+        return errors.SweepError(document.get("message", ""))
     values = []
     for field in fields:
         value = document[field]
@@ -277,11 +279,11 @@ def failure_from_dict(document: Dict[str, Any]) -> Any:
         ):
             value = GridPoint(**value)
         values.append(value)
-    return getattr(faults, name)(*values)
+    return getattr(errors, name)(*values)
 
 
 def sweep_result_to_dict(result: Any) -> Dict[str, Any]:
-    """Flatten a :class:`~repro.runner.parallel.SweepResult` into
+    """Flatten a :class:`~repro.runner.result.SweepResult` into
     JSON-safe primitives (reports, statuses and typed failures, all
     aligned with the point list).  The ``infeasible`` list (typed
     buffer diagnoses) is emitted only when non-empty, so documents of
@@ -312,9 +314,10 @@ def sweep_result_to_dict(result: Any) -> Dict[str, Any]:
 
 
 def sweep_result_from_dict(document: Dict[str, Any]) -> Any:
-    """Rebuild a :class:`~repro.runner.parallel.SweepResult` written
+    """Rebuild a :class:`~repro.runner.result.SweepResult` written
     by :func:`sweep_result_to_dict`."""
-    from repro.runner.parallel import GridPoint, SweepResult
+    from repro.runner.chain import GridPoint
+    from repro.runner.result import SweepResult
 
     points = [GridPoint(**entry) for entry in document["points"]]
     reports = {
@@ -476,52 +479,3 @@ def tileseek_result_from_dict(
             "provenance", PROVENANCE_COMPLETE
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Serving wire schemas (repro.serve)
-# ----------------------------------------------------------------------
-def canonical_json(document: Dict[str, Any]) -> str:
-    """The canonical wire rendering used by the serving layer.
-
-    Sorted keys, compact separators, ``repr``-rendered floats: the
-    same document always serializes to the same bytes, and a
-    ``loads``/``dumps`` round-trip is a fixed point -- which is what
-    lets the server stamp a correlation id into a cached body
-    without perturbing anything else.
-    """
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":")
-    )
-
-
-def point_to_dict(point: Any) -> Dict[str, Any]:
-    """One :class:`~repro.runner.parallel.GridPoint` in wire form."""
-    return dataclasses.asdict(point)
-
-
-def serve_request_to_dict(request: Any) -> Dict[str, Any]:
-    """A :class:`~repro.serve.protocol.ServeRequest` in wire form.
-
-    The inverse of :func:`repro.serve.protocol.parse_request` (up to
-    admission normalization: the budget here is the already-folded
-    effective budget, so the round-trip is stable).  Defaulted
-    fields are omitted, keeping wire documents minimal and their
-    fingerprint-relevant content explicit.
-    """
-    document: Dict[str, Any] = {"op": request.op}
-    if request.op == "sweep":
-        document["points"] = [
-            point_to_dict(point) for point in request.points
-        ]
-    elif request.points:
-        document["point"] = point_to_dict(request.points[0])
-    if request.budget is not None:
-        document["budget"] = request.budget
-    if request.no_fallback:
-        document["no_fallback"] = True
-    if request.warm_start:
-        document["warm_start"] = True
-    if request.request_id is not None:
-        document["id"] = request.request_id
-    return document

@@ -19,7 +19,7 @@ _EXPORTS = {
     "repro.dpipe.options": ("DPipeOptions",),
     "repro.dpipe.planner": (
         "DPipePlan", "clear_kernel_cache", "kernel_cache_size",
-        "plan_cascade", "plan_cascade_legacy", "plan_window_schedule",
+        "plan_cascade", "plan_window_schedule",
     ),
     "repro.dpipe.scheduler": ("ScheduleResult", "dp_schedule"),
     "repro.dpipe.search": ("InternedProblem", "fused_best_order"),

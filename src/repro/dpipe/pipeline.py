@@ -12,17 +12,14 @@ steady-state period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.arch.pe import PEArrayKind
 from repro.dpipe.latency import LatencyTable
 from repro.dpipe.scheduler import ScheduleResult, dp_schedule
 from repro.graph.dag import ComputationDAG
 from repro.graph.partition import Bipartition
-from repro.graph.toposort import (
-    all_topological_orders,
-    critical_path_order,
-)
+from repro.graph.toposort import critical_path_order
 
 #: Virtual root node name (Figure 7d).
 ROOT = "ROOT"
@@ -142,42 +139,6 @@ def best_window_schedule_ex(
     return WindowSchedule(
         bipartition=bipartition, order=order, schedule=result
     ), provenance
-
-
-def legacy_window_schedule(
-    dag: ComputationDAG,
-    bipartition: Bipartition,
-    table: LatencyTable,
-    max_orders: int,
-) -> WindowSchedule:
-    """The original enumerate-then-score window search.
-
-    Kept verbatim as the differential reference for
-    :func:`best_window_schedule`: property tests and the framework
-    benchmarks assert the fused search returns identical results at a
-    fraction of the cost.
-    """
-    window = build_window(dag, bipartition)
-    preds = window.pred_map()
-    candidates = list(
-        all_topological_orders(window, limit=max_orders)
-    )
-    candidates.append(
-        critical_path_order(window, _window_weights(window, table))
-    )
-    best: Optional[WindowSchedule] = None
-    for order in candidates:
-        result = dp_schedule(
-            order, preds, table, zero_latency={ROOT}
-        )
-        if best is None or result.makespan < best.schedule.makespan:
-            best = WindowSchedule(
-                bipartition=bipartition,
-                order=order,
-                schedule=result,
-            )
-    assert best is not None  # every DAG has >= 1 topological order
-    return best
 
 
 def subgraph_makespan(

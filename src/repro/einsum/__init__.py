@@ -16,24 +16,16 @@ The paper expresses every Transformer sub-layer as a *Cascade of Einsums*
   parser for concise op construction.
 """
 
-from repro.einsum.cascade import Cascade
-from repro.einsum.operation import (
-    EinsumOp,
-    OpKind,
-    contraction,
-    map_op,
-    reduction,
-)
-from repro.einsum.parser import parse_signature
-from repro.einsum.tensor import TensorSpec
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "Cascade",
-    "EinsumOp",
-    "OpKind",
-    "TensorSpec",
-    "contraction",
-    "map_op",
-    "parse_signature",
-    "reduction",
-]
+_EXPORTS = {
+    "repro.einsum.cascade": ("Cascade",),
+    "repro.einsum.operation": (
+        "EinsumOp", "OpKind", "contraction", "map_op", "reduction",
+    ),
+    "repro.einsum.parser": ("parse_signature",),
+    "repro.einsum.tensor": ("TensorSpec",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Tuple
 
 from repro.arch.spec import ArchitectureSpec, named_architecture
-from repro.runner.faults import PointFailure, SweepError
-from repro.runner.parallel import GridPoint, compute_report
+from repro.runner.chain import GridPoint, compute_report
+from repro.runner.errors import PointFailure, SweepError
 from repro.sim.stats import RunReport
 from repro.validate.config import validation_enabled
 
@@ -42,7 +42,7 @@ def get_report(
     served from the persistent sweep cache when available.
 
     Failures surface as typed
-    :class:`~repro.runner.faults.PointFailure`\\ s naming the exact
+    :class:`~repro.runner.errors.PointFailure`\\ s naming the exact
     grid point, so a figure generator that dies deep inside
     TileSeek/DPipe still reports *which* of its hundreds of points
     was responsible.

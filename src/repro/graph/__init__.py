@@ -7,13 +7,13 @@ constraints, and enumerates topological orderings of the pipelined
 mechanics; the scheduling cost model lives in :mod:`repro.dpipe`.
 """
 
-from repro.graph.dag import ComputationDAG
-from repro.graph.partition import Bipartition, enumerate_bipartitions
-from repro.graph.toposort import all_topological_orders
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "Bipartition",
-    "ComputationDAG",
-    "all_topological_orders",
-    "enumerate_bipartitions",
-]
+_EXPORTS = {
+    "repro.graph.dag": ("ComputationDAG",),
+    "repro.graph.partition": ("Bipartition", "enumerate_bipartitions"),
+    "repro.graph.toposort": ("all_topological_orders",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -59,7 +59,7 @@ from repro.runner.cache import (
     stable_hash,
     workload_fingerprint,
 )
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 
 #: Corpus schema version; bump on incompatible record-format changes.
 CORPUS_VERSION = 1
@@ -225,7 +225,7 @@ class Corpus:
     def to_json(self) -> str:
         """Canonical byte rendering (sorted keys, compact
         separators): the same inputs always produce the same file."""
-        from repro.core.serialize import canonical_json
+        from repro.core.wire import canonical_json
 
         return canonical_json(self.to_dict())
 
@@ -326,11 +326,11 @@ def _journal_chains(
     journals are expected around code edits, and their cache keys
     would be stale too); malformed lines are counted likewise.
     """
+    from repro.runner.chain import GridPoint
     from repro.runner.journal import (
         JOURNAL_VERSION,
         point_fingerprint,
     )
-    from repro.runner.parallel import GridPoint
 
     mined: List[Tuple[Any, bool]] = []
     for entry in entries:
@@ -374,13 +374,13 @@ def _scan_journal(
     The journal names *report* cache keys, not tileseek ones, so each
     point's tiling entry is recovered by reconstructing the executor's
     tileseek payload -- threading warm-started chains forward exactly
-    the way :func:`~repro.runner.parallel._run_chain` does -- and
+    the way :func:`~repro.runner.chain._run_chain` does -- and
     looking it up in the cache.  Points whose tiling entry is gone
     (evicted, cache cleared) count as ``unmatched``.
     """
     from repro.baselines.registry import named_executor
+    from repro.runner.chain import _chains
     from repro.runner.journal import tolerant_lines
-    from repro.runner.parallel import _chains
 
     mined = _journal_chains(
         tolerant_lines(path), path, salt, skipped

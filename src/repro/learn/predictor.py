@@ -197,7 +197,7 @@ def save_model(
 
         cache = default_cache()
     if cache is None:
-        from repro.runner.faults import SweepConfigError
+        from repro.runner.errors import SweepConfigError
 
         raise SweepConfigError(
             "persisting a learn model needs the plan cache "

@@ -5,11 +5,12 @@ by their dimensions: hidden size ``d``, heads ``h``, per-head embedding
 ``e = f``, FFN hidden ``s`` and layer count.
 """
 
-from repro.model.config import (
-    MODEL_ZOO,
-    ModelConfig,
-    named_model,
-)
-from repro.model.workload import Workload
+from repro._exports import export_names, lazy_exports
 
-__all__ = ["MODEL_ZOO", "ModelConfig", "Workload", "named_model"]
+_EXPORTS = {
+    "repro.model.config": ("MODEL_ZOO", "ModelConfig", "named_model"),
+    "repro.model.workload": ("Workload",),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -18,7 +18,7 @@ instead of dying:
   tiling fits the Table-2 buffer model, a :class:`BufferDiagnosis`
   names the overflowing module, the overflow in words and the
   smallest violating tile, carried by
-  :class:`~repro.runner.faults.InfeasiblePoint`.
+  :class:`~repro.runner.errors.InfeasiblePoint`.
 """
 
 from repro._exports import export_names, lazy_exports

@@ -12,7 +12,7 @@ factor can shrink below the model's own shapes).
 
 :func:`diagnose_infeasible` packages that evidence as a
 :class:`BufferDiagnosis`; the search layer attaches it to an
-:class:`~repro.runner.faults.InfeasiblePoint`, which the sweep engine
+:class:`~repro.runner.errors.InfeasiblePoint`, which the sweep engine
 surfaces as a distinct ``infeasible`` status (never retried -- the
 diagnosis cannot change).
 """

@@ -1,20 +1,24 @@
 """The sweep engine: caching + parallel + fault-tolerant execution.
 
-Four layers make the framework's own hot path (full figure sweeps)
+Five layers make the framework's own hot path (full figure sweeps)
 fast, incremental and crash-safe:
 
 * :mod:`repro.runner.cache` -- a content-addressed on-disk cache of
   serialized reports and tiling results, keyed by workload,
   architecture, search parameters and a code-version salt; corrupted
   entries are quarantined with a :class:`CacheCorruption` warning.
+* :mod:`repro.runner.chain` -- :class:`GridPoint` and the chain
+  runner every path prices points through (a local ``plan``, a
+  served request, each chain of a sweep).
 * :mod:`repro.runner.parallel` -- :func:`run_grid`, a deterministic
   process-pool fan-out over grid points whose serial and parallel
-  outputs are byte-identical, returning a :class:`SweepResult` with
-  per-point statuses.
-* :mod:`repro.runner.faults` -- the typed failure taxonomy
-  (:class:`SweepError` and friends), per-chain timeouts + bounded
-  deterministic retries (``REPRO_TIMEOUT`` / ``REPRO_RETRIES``), and
-  the ``REPRO_FAULTS`` deterministic fault-injection harness.
+  outputs are byte-identical, returning a :class:`SweepResult`
+  (:mod:`repro.runner.result`) with per-point statuses.
+* :mod:`repro.runner.errors` / :mod:`repro.runner.faults` -- the
+  typed failure taxonomy (:class:`SweepError` and friends); per-chain
+  timeouts + bounded deterministic retries (``REPRO_TIMEOUT`` /
+  ``REPRO_RETRIES``) and the ``REPRO_FAULTS`` deterministic
+  fault-injection harness.
 * :mod:`repro.runner.journal` -- a sweep journal checkpointing every
   completed point's cache key, so ``run_grid(..., resume=True)`` /
   ``sweep --resume`` skips finished work after a crash.
@@ -35,23 +39,26 @@ _EXPORTS = {
         "PlanCache", "cache_enabled", "code_salt", "default_cache",
         "stable_hash",
     ),
+    "repro.runner.chain": (
+        "DEFAULT_BATCH", "STATUS_FAILED", "STATUS_INFEASIBLE",
+        "STATUS_OK", "STATUS_SKIPPED", "STATUS_TIMEOUT", "GridPoint",
+        "compute_report", "report_cache_payload", "resolve_jobs",
+    ),
+    "repro.runner.errors": (
+        "CacheCorruption", "ChainTimeout", "FaultSpecError",
+        "InfeasiblePoint", "PointFailure", "SweepConfigError",
+        "SweepError", "WorkerCrash",
+    ),
     "repro.runner.faults": (
-        "CacheCorruption", "ChainTimeout", "FaultPlan", "FaultRule",
-        "FaultSpecError", "InfeasiblePoint", "PointFailure",
-        "SweepConfigError", "SweepError", "WorkerCrash",
-        "active_plan", "backoff_seconds", "parse_faults",
-        "resolve_retries", "resolve_timeout",
+        "FaultPlan", "FaultRule", "active_plan", "backoff_seconds",
+        "parse_faults", "resolve_retries", "resolve_timeout",
     ),
     "repro.runner.journal": (
         "SweepJournal", "default_journal_path", "point_fingerprint",
     ),
     "repro.runner.pool": ("InlineWorkerPool", "WorkerPool", "make_pool"),
-    "repro.runner.parallel": (
-        "DEFAULT_BATCH", "STATUS_FAILED", "STATUS_INFEASIBLE",
-        "STATUS_OK", "STATUS_SKIPPED", "STATUS_TIMEOUT", "GridPoint",
-        "SweepResult", "compute_report", "report_cache_payload",
-        "resolve_jobs", "run_grid",
-    ),
+    "repro.runner.parallel": ("run_grid",),
+    "repro.runner.result": ("SweepResult",),
 }
 
 __all__ = export_names(_EXPORTS)

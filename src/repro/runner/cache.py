@@ -41,7 +41,7 @@ Resource-exhaustion resilience (disk tier):
   ``BROWNOUT_PROBE_WRITES`` skipped writes one probe write re-tries
   the disk, exiting brownout on success.  Both transitions are
   appended (best-effort) to ``<root>/brownout.jsonl`` and surfaced
-  as :class:`~repro.runner.faults.CacheBrownout` warnings; writes
+  as :class:`~repro.runner.errors.CacheBrownout` warnings; writes
   stay tmpfile + ``os.replace`` atomic throughout, so a full disk
   can tear a temp file but never a live entry.
 
@@ -69,14 +69,12 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.runner.faults import (
+from repro.runner.errors import (
     CacheBrownout,
     CacheClearFailure,
     CacheCorruption,
-    active_plan,
-    io_context,
 )
-from repro.settings import env_bool, env_int
+from repro.settings import armed_faults, env_bool, env_int
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE = "REPRO_CACHE"
@@ -134,12 +132,20 @@ def code_salt() -> str:
         digest = hashlib.sha256()
         digest.update(CACHE_SCHEMA.encode())
         digest.update(repro.__version__.encode())
-        package_root = Path(repro.__file__).resolve().parent
-        for source in sorted(package_root.rglob("*.py")):
-            digest.update(
-                str(source.relative_to(package_root)).encode()
-            )
-            digest.update(source.read_bytes())
+        package_root = os.path.dirname(os.path.realpath(repro.__file__))
+        # Every module's relative path (ordered component by component)
+        # and bytes.  Every plan process pays this walk; os.walk costs
+        # half of what pathlib's rglob does.
+        for parts in sorted(
+            os.path.relpath(os.path.join(directory, name), package_root)
+            .split(os.sep)
+            for directory, _, names in os.walk(package_root)
+            for name in names
+            if name.endswith(".py")
+        ):
+            digest.update(os.path.join(*parts).encode())
+            with open(os.path.join(package_root, *parts), "rb") as handle:
+                digest.update(handle.read())
         _code_salt = digest.hexdigest()
     return _code_salt
 
@@ -230,7 +236,7 @@ class PlanCache:
     the serialized value.  Writes are atomic (temp file + rename);
     corrupted or truncated entries are moved to
     ``<root>/quarantine/`` on read -- surfacing a
-    :class:`~repro.runner.faults.CacheCorruption` warning and leaving
+    :class:`~repro.runner.errors.CacheCorruption` warning and leaving
     the bad bytes inspectable -- and treated as misses, so a killed
     process can never poison later runs.
 
@@ -259,7 +265,7 @@ class PlanCache:
 
         A corrupted entry (unreadable, invalid JSON, or missing the
         value field) is quarantined with a
-        :class:`~repro.runner.faults.CacheCorruption` warning and
+        :class:`~repro.runner.errors.CacheCorruption` warning and
         reported as a miss.
         """
         path = self.path_for(kind, key)
@@ -282,7 +288,7 @@ class PlanCache:
         The bad file is preserved under ``<root>/quarantine/`` for
         post-mortem inspection (falling back to deletion if the move
         itself fails), and a
-        :class:`~repro.runner.faults.CacheCorruption` warning names
+        :class:`~repro.runner.errors.CacheCorruption` warning names
         both the entry and the parse error -- silent data loss is
         how cost-model bugs hide.
 
@@ -362,8 +368,10 @@ class PlanCache:
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         rule = None
         try:
-            plan = active_plan()
+            plan = armed_faults()
             if plan:
+                from repro.runner.faults import io_context
+
                 rule = plan.fire_io(**io_context(write_index))
             path.parent.mkdir(parents=True, exist_ok=True)
             temp.write_text(
@@ -415,7 +423,7 @@ class PlanCache:
 
         Entries that cannot be deleted (permissions, a racing
         process holding the directory) are *reported*: one
-        :class:`~repro.runner.faults.CacheClearFailure` warning
+        :class:`~repro.runner.errors.CacheClearFailure` warning
         names the survivors, instead of a silent "clean sweep" that
         left stale entries to serve later reads.
         """
@@ -456,7 +464,7 @@ class PlanCache:
         """
         entries = 0
         total = 0
-        for _, _, _, size in self._scan():
+        for _, _, _, size, _ in self._scan():
             entries += 1
             total += size
         quarantined = 0
@@ -500,14 +508,14 @@ class PlanCache:
             self._scan(),
             key=lambda item: (item[0], item[1]),
         )
-        total = sum(size for _, _, _, size in scanned)
+        total = sum(size for _, _, _, size, _ in scanned)
         removed = 0
         freed = 0
         if cap is not None:
-            for mtime_ns, _, entry, size in scanned:
+            for mtime_ns, _, entry, size, inode in scanned:
                 if total - freed <= cap:
                     break
-                evicted = self._evict(entry, mtime_ns)
+                evicted = self._evict(entry, (inode, mtime_ns))
                 if evicted:
                     removed += 1
                     freed += evicted
@@ -541,9 +549,9 @@ class PlanCache:
                 quarantined += 1
         return {"checked": checked, "quarantined": quarantined}
 
-    def _scan(self) -> Iterable[Tuple[int, str, Path, int]]:
-        """``(mtime_ns, relative posix path, path, size)`` per live
-        entry, tolerating files vanishing mid-scan."""
+    def _scan(self) -> Iterable[Tuple[int, str, Path, int, int]]:
+        """``(mtime_ns, relative posix path, path, size, inode)`` per
+        live entry, tolerating files vanishing mid-scan."""
         for entry in self._entries():
             try:
                 stat = entry.stat()
@@ -554,22 +562,26 @@ class PlanCache:
                 entry.relative_to(self.root).as_posix(),
                 entry,
                 stat.st_size,
+                stat.st_ino,
             )
 
-    def _evict(self, entry: Path, expected: int) -> int:
+    def _evict(self, entry: Path, expected: Tuple[int, int]) -> int:
         """Remove one GC victim; returns the bytes freed (0 if the
         eviction was skipped or lost a race).
 
-        ``expected`` is the victim's ``st_mtime_ns`` as the GC's scan
-        saw it.  The victim is atomically renamed to a unique trash
-        name first.  Whatever inode sat at the entry path moves in
-        one step, so two racing GCs can never both count the same
-        victim (the loser's rename finds nothing), and if a racing
-        ``put`` replaced the entry *after* this GC scanned it, the
-        fresh entry is detected (its mtime differs from the scanned
-        one) and restored -- a ``put`` racing a ``gc`` on the same
-        key always leaves the old or the new valid entry, never
-        neither.
+        ``expected`` is the victim's ``(st_ino, st_mtime_ns)`` as the
+        GC's scan saw it.  The victim is atomically renamed to a
+        unique trash name first.  Whatever inode sat at the entry
+        path moves in one step, so two racing GCs can never both
+        count the same victim (the loser's rename finds nothing), and
+        if a racing ``put`` replaced the entry *after* this GC
+        scanned it, the fresh entry is detected and restored -- a
+        ``put`` racing a ``gc`` on the same key always leaves the old
+        or the new valid entry, never neither.  The inode is what
+        identifies the fresh file: a ``put`` landing within one
+        timestamp tick of the scanned write can carry an equal mtime,
+        but it is a new file (written to a temp name, then renamed
+        over the entry) and so a new inode.
         """
         trash = entry.with_name(
             f".{entry.name}.{os.getpid()}."
@@ -584,7 +596,7 @@ class PlanCache:
             moved = trash.stat()
         except OSError:
             return 0
-        if moved.st_mtime_ns != expected:
+        if (moved.st_ino, moved.st_mtime_ns) != expected:
             # We grabbed a racing writer's *fresh* entry -- put it
             # back (clobbering nothing newer than itself: replace
             # is atomic, and any third writer's entry is identical

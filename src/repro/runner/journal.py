@@ -14,7 +14,7 @@ serves any chain whose every point is journaled *and* still present
 in the cache straight from disk -- no executor is even constructed.
 
 Provably infeasible points (no tiling fits the buffer; see
-:class:`~repro.runner.faults.InfeasiblePoint`) are terminal too, but
+:class:`~repro.runner.errors.InfeasiblePoint`) are terminal too, but
 have no cache entry to point at.  They get their own line shape --
 ``"infeasible"`` (the serialized diagnosis) instead of ``"key"`` --
 so resume can skip them without re-deriving the proof, and journals
@@ -33,7 +33,7 @@ Appends are single ``write`` calls of complete lines, flushed and
 ``fsync``-ed before the file is closed, so a journal truncated by a
 crash (or a killed replica) loses at most its torn final line --
 which the loaders skip with a
-:class:`~repro.runner.faults.JournalTruncation` warning instead of
+:class:`~repro.runner.errors.JournalTruncation` warning instead of
 raising (see :func:`append_line` / :func:`warn_truncation`, shared
 with the serve journal).
 """
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.runner.cache import PlanCache, code_salt, stable_hash
-from repro.runner.faults import JournalTruncation
+from repro.runner.errors import JournalTruncation
 
 
 def append_line(path: Union[str, os.PathLike], line: str) -> None:
@@ -168,7 +168,7 @@ class SweepJournal:
         """Append one provably infeasible point.
 
         ``diagnosis`` is the serialized
-        :class:`~repro.runner.faults.InfeasiblePoint` document (see
+        :class:`~repro.runner.errors.InfeasiblePoint` document (see
         :func:`repro.core.serialize.failure_to_dict`).  The line
         carries ``"infeasible"`` instead of ``"key"`` -- there is no
         cache entry behind an infeasible point -- which older
@@ -187,7 +187,7 @@ class SweepJournal:
         """Well-formed current-version, current-salt journal lines.
 
         A torn trailing line (a writer killed mid-append) is skipped
-        with a :class:`~repro.runner.faults.JournalTruncation`
+        with a :class:`~repro.runner.errors.JournalTruncation`
         warning; everything before it is intact and loads normally.
         """
         salt = code_salt()

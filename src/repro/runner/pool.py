@@ -20,7 +20,7 @@ of the sweep engine into two interchangeable wrappers:
   harnesses use it for determinism (monkeypatched state is visible,
   no fork), and ``serial=True`` tells job functions to take the
   sweep engine's serial fault-injection paths (``exit`` raises
-  :class:`~repro.runner.faults.InjectedWorkerExit` instead of
+  :class:`~repro.runner.errors.InjectedWorkerExit` instead of
   killing the process).
 
 Both expose ``submit`` / ``respawn`` / ``close`` plus ``serial``,
@@ -40,7 +40,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.baselines.registry import preload_executors
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 
 
 def _pool_context():

@@ -34,7 +34,7 @@ Fleet mode stacks three more pieces on top (``repro fleet``,
 * :func:`repro.serve.client.fleet_call` -- the failover client:
   walks the fingerprint's deterministic preference order with
   per-attempt deadlines; typed
-  :class:`~repro.runner.faults.FleetUnavailable` when all fail.
+  :class:`~repro.runner.errors.FleetUnavailable` when all fail.
 
 Execution happens on the reusable pools of
 :mod:`repro.runner.pool`; everything a response contains --

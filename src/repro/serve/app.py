@@ -25,7 +25,7 @@ Design points:
   queueing unboundedly.  Behind the shedding ladder sits *bounded
   admission* (``REPRO_SERVE_QUEUE``): when even shed-budget
   searches exceed the bound, new searches are rejected with a typed
-  :class:`~repro.runner.faults.ServerOverloaded` body carrying a
+  :class:`~repro.runner.errors.ServerOverloaded` body carrying a
   deterministic ``retry_after_ms`` hint -- counted separately from
   fault-path errors, journaled as ``overloaded``, and never cached.  The *effective* budget is reported in the
   response's ``budget`` field and keys the LRU/coalescing
@@ -35,10 +35,10 @@ Design points:
   journal.
 * **Typed errors, never hangs.**  Worker crashes
   (``BrokenProcessPool`` or the serial-mode
-  :class:`~repro.runner.faults.InjectedWorkerExit`) respawn the pool
-  and return a structured :class:`~repro.runner.faults.WorkerCrash`
+  :class:`~repro.runner.errors.InjectedWorkerExit`) respawn the pool
+  and return a structured :class:`~repro.runner.errors.WorkerCrash`
   response; injected hangs map to
-  :class:`~repro.runner.faults.ChainTimeout`; an optional wall-clock
+  :class:`~repro.runner.errors.ChainTimeout`; an optional wall-clock
   ``REPRO_SERVE_TIMEOUT`` bounds worker-mode requests the same way.
   Error bodies resolve coalesced followers but are never cached.
 * **Retries advance the fault clock.**  A per-fingerprint attempt
@@ -57,7 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.runner.cache import code_salt
-from repro.runner.faults import (
+from repro.runner.errors import (
     ChainTimeout,
     InjectedHang,
     InjectedWorkerExit,
@@ -65,9 +65,8 @@ from repro.runner.faults import (
     ServerOverloaded,
     SweepError,
     WorkerCrash,
-    active_plan,
-    replica_context,
 )
+from repro.runner.faults import replica_context
 from repro.serve.coalesce import Coalescer
 from repro.serve.journal import ServeJournal
 from repro.serve.lru import SaltedLRU
@@ -86,7 +85,7 @@ from repro.serve.protocol import (
     sweep_response,
     validate_response,
 )
-from repro.settings import env_float, env_int
+from repro.settings import armed_faults, env_float, env_int
 
 ENV_SERVE_LRU = "REPRO_SERVE_LRU"
 ENV_SERVE_PRESSURE = "REPRO_SERVE_PRESSURE"
@@ -256,7 +255,7 @@ class ServeApp:
         boundary, against the 0-based served-request count -- the
         deterministic clock the fleet battery kills a replica on.
         """
-        plan = active_plan()
+        plan = armed_faults()
         if plan:
             plan.fire_replica(**replica_context(self.requests))
         self.requests += 1

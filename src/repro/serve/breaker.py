@@ -4,7 +4,7 @@ Without a breaker the failover client re-probes a dead replica on
 every request whose rendezvous preference ranks it first -- each
 probe paying a connect timeout before falling through to a healthy
 survivor.  The breaker remembers: after ``REPRO_FLEET_BREAKER``
-consecutive :class:`~repro.runner.faults.ReplicaUnreachable`
+consecutive :class:`~repro.runner.errors.ReplicaUnreachable`
 failures an endpoint's circuit *opens* and routing demotes it below
 every closed endpoint (see
 :func:`repro.serve.client.fleet_call`), so steady-state traffic
@@ -37,7 +37,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional
 
-from repro.runner.faults import SweepConfigError, backoff_seconds
+from repro.runner.errors import SweepConfigError
+from repro.runner.faults import backoff_seconds
 from repro.settings import env_float, env_int
 
 ENV_FLEET_BREAKER = "REPRO_FLEET_BREAKER"

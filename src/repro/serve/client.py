@@ -13,7 +13,7 @@ Two layers, both deliberately thin wrappers over :mod:`http.client`:
   deadline.  A dead port, a wedged replica (attempt deadline
   expires) or a connection dropped mid-response moves on to the next
   survivor; when every replica fails, a typed
-  :class:`~repro.runner.faults.FleetUnavailable` carries the
+  :class:`~repro.runner.errors.FleetUnavailable` carries the
   per-attempt evidence.
 
 Two resilience layers ride on top of the walk (PR 10):
@@ -45,9 +45,10 @@ import http.client
 import json
 import socket
 import time
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runner.faults import (
+from repro.core.wire import point_to_dict
+from repro.runner.errors import (
     FleetUnavailable,
     ReplicaUnreachable,
     SweepConfigError,
@@ -65,6 +66,33 @@ DEFAULT_RETRY_BUDGET = 2
 #: Hard ceiling on one honored ``retry_after_ms`` sleep: the hint
 #: is advisory, the client's patience is bounded.
 MAX_RETRY_AFTER_MS = 2000
+
+
+def serve_request_to_dict(request: Any) -> Dict[str, Any]:
+    """A :class:`~repro.serve.protocol.ServeRequest` in wire form.
+
+    The inverse of :func:`repro.serve.protocol.parse_request` (up to
+    admission normalization: the budget here is the already-folded
+    effective budget, so the round-trip is stable).  Defaulted
+    fields are omitted, keeping wire documents minimal and their
+    fingerprint-relevant content explicit.
+    """
+    document: Dict[str, Any] = {"op": request.op}
+    if request.op == "sweep":
+        document["points"] = [
+            point_to_dict(point) for point in request.points
+        ]
+    elif request.points:
+        document["point"] = point_to_dict(request.points[0])
+    if request.budget is not None:
+        document["budget"] = request.budget
+    if request.no_fallback:
+        document["no_fallback"] = True
+    if request.warm_start:
+        document["warm_start"] = True
+    if request.request_id is not None:
+        document["id"] = request.request_id
+    return document
 
 
 def parse_endpoint(endpoint: str) -> Tuple[str, int]:

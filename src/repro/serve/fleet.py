@@ -49,12 +49,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from repro.runner.faults import (
-    ENV_FLEET_INDEX,
-    FleetUnavailable,
-    SweepConfigError,
-    backoff_seconds,
-)
+from repro.runner.errors import FleetUnavailable, SweepConfigError
+from repro.runner.faults import ENV_FLEET_INDEX, backoff_seconds
 from repro.runner.journal import append_line
 from repro.settings import env_float, env_int
 

@@ -14,7 +14,7 @@ Crash safety (the fleet contract): every line is flushed and
 :func:`~repro.runner.journal.append_line`, so a replica killed
 mid-storm loses at most the single line it was appending -- and
 :meth:`ServeJournal.load` skips that torn tail with a
-:class:`~repro.runner.faults.JournalTruncation` warning instead of
+:class:`~repro.runner.errors.JournalTruncation` warning instead of
 raising, which is what lets the fleet battery audit a dead replica's
 journal.
 """
@@ -99,7 +99,7 @@ class ServeJournal:
 
         A missing file loads as empty.  A torn trailing line -- the
         one a killed replica was mid-append on -- is skipped with a
-        :class:`~repro.runner.faults.JournalTruncation` warning, so
+        :class:`~repro.runner.errors.JournalTruncation` warning, so
         post-mortem auditors (the fleet battery, the CI chaos job)
         can always read everything the replica durably served.
         """

@@ -48,7 +48,7 @@ class SaltedLRU:
         salt: Callable[[], str] = code_salt,
     ) -> None:
         if capacity < 0:
-            from repro.runner.faults import SweepConfigError
+            from repro.runner.errors import SweepConfigError
 
             raise SweepConfigError(
                 f"LRU capacity must be >= 0, got {capacity}"

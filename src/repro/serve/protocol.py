@@ -31,12 +31,12 @@ identical bytes.  Every successful ``plan`` response carries an
 explicit ``provenance`` (``complete`` / ``budget_exhausted`` /
 ``fallback:<rung>``); a provably infeasible point comes back
 ``status: "infeasible"`` with its serialized Table-2 diagnosis; and
-any :class:`~repro.runner.faults.SweepError` serializes to a
+any :class:`~repro.runner.errors.SweepError` serializes to a
 structured ``ok: false`` error response via the PR 3 failure
 round-trip.
 
 Execution wraps the sweep engine's chain runner
-(:func:`repro.runner.parallel._run_chain`) inside an environment
+(:func:`repro.runner.chain._run_chain`) inside an environment
 scope that pins the request's budget knobs (clearing any ambient
 ``REPRO_BUDGET`` / ``REPRO_DEADLINE`` first), so a long-lived server
 process can serve differently-budgeted requests back to back without
@@ -49,6 +49,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -58,12 +59,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.serialize import (
-    canonical_json,
-    failure_to_dict,
-    point_to_dict,
-    sweep_result_to_dict,
-)
+from repro.core.wire import canonical_json, point_to_dict
 from repro.resilience.budget import (
     ENV_BUDGET,
     ENV_DEADLINE,
@@ -73,17 +69,19 @@ from repro.resilience.budget import (
     worst_provenance,
 )
 from repro.runner.cache import stable_hash
-from repro.runner.faults import SweepConfigError, SweepError
-from repro.runner.parallel import (
+from repro.runner.chain import (
     _INFEASIBLE_KEY,
     STATUS_INFEASIBLE,
     STATUS_OK,
     GridPoint,
-    SweepResult,
     _chains,
     _is_infeasible_document,
     _run_chain,
 )
+from repro.runner.errors import SweepConfigError, SweepError
+
+if TYPE_CHECKING:
+    from repro.runner.result import SweepResult
 
 #: Protocol schema version, carried in every request and response.
 PROTOCOL_VERSION = 1
@@ -111,7 +109,7 @@ _REQUEST_FIELDS = (
 class ServeProtocolError(SweepConfigError):
     """A request that does not parse against the serving schema.
 
-    A :class:`~repro.runner.faults.SweepConfigError` (and therefore a
+    A :class:`~repro.runner.errors.SweepConfigError` (and therefore a
     ``ValueError``), so it serializes through the same structured
     error path as every other typed failure.
     """
@@ -478,7 +476,8 @@ def assemble_sweep_result(
         failure_from_dict,
         report_from_dict,
     )
-    from repro.runner.faults import InfeasiblePoint
+    from repro.runner.errors import InfeasiblePoint
+    from repro.runner.result import SweepResult
 
     reports: Dict[GridPoint, Any] = {}
     statuses: Dict[GridPoint, str] = {}
@@ -559,6 +558,8 @@ def sweep_response(
     budget: Optional[int] = None,
 ) -> Dict[str, Any]:
     """The response document for one ``sweep`` request."""
+    from repro.core.serialize import sweep_result_to_dict
+
     if budget is None:
         budget = request.budget
     document = _envelope("sweep", request.request_id, budget)
@@ -606,6 +607,8 @@ def error_response(
     admission's ``overloaded``) stay distinguishable from execution
     errors without a second envelope shape.
     """
+    from repro.core.serialize import failure_to_dict
+
     if not isinstance(error, SweepError):
         error = SweepError(
             f"{type(error).__name__}: {error}"

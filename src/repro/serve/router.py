@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Sequence, Tuple
 
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 
 
 def parse_fleet(spec: str) -> Tuple[str, ...]:

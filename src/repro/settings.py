@@ -2,7 +2,7 @@
 
 Every knob the framework reads from the environment resolves through
 this module, so malformed values fail the same way everywhere: a
-:class:`~repro.runner.faults.SweepConfigError` naming the variable,
+:class:`~repro.runner.errors.SweepConfigError` naming the variable,
 the expected type and the offending value -- never a bare
 ``ValueError`` out of ``int()`` three frames deep in a worker.
 
@@ -44,7 +44,7 @@ variable               meaning
 =====================  ================================================
 
 Serving knobs (``repro serve``; resolved in :mod:`repro.serve.app`
-and :mod:`repro.cli`):
+and :mod:`repro.cli.serve`):
 
 ==========================  ===========================================
 variable                    meaning
@@ -108,7 +108,13 @@ variable                       meaning
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.runner.faults import FaultPlan
+
+#: The deterministic fault-injection spec (:func:`armed_faults`).
+ENV_FAULTS = "REPRO_FAULTS"
 
 #: Values read as "false" by :func:`env_bool` (after strip+lower).
 FALSY_VALUES: Tuple[str, ...] = ("0", "off", "false", "no")
@@ -197,10 +203,9 @@ def config_error(message: str) -> Exception:
     """A :class:`SweepConfigError` to raise for a malformed setting.
 
     Imported lazily so this module stays dependency-free at import
-    time (the taxonomy lives in :mod:`repro.runner.faults`, which
-    itself imports this module).
+    time (the taxonomy lives in :mod:`repro.runner.errors`).
     """
-    from repro.runner.faults import SweepConfigError
+    from repro.runner.errors import SweepConfigError
 
     return SweepConfigError(message)
 
@@ -256,6 +261,23 @@ def env_float(
         raise config_error(
             f"{name} must be {describe}, got {value!r}"
         ) from None
+
+
+def armed_faults() -> Optional["FaultPlan"]:
+    """The parsed ``REPRO_FAULTS`` plan, or ``None`` when it is unset.
+
+    The one place that reads the variable: the parser and
+    :class:`~repro.runner.faults.FaultPlan` are imported only when a
+    spec is present, so a run without fault injection never loads
+    them.  Parsed on every call -- tests toggle the variable between
+    sweeps.
+    """
+    spec = raw_value(ENV_FAULTS)
+    if spec is None:
+        return None
+    from repro.runner.faults import parse_faults
+
+    return parse_faults(spec)
 
 
 def env_bool(

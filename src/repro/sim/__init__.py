@@ -21,41 +21,25 @@ and Accelergy (energy) and composes the results with overlap heuristics
 * :mod:`repro.sim.roofline` -- compute/memory-bound classification.
 """
 
-from repro.sim.des import SimulationResult, simulate_epochs
-from repro.sim.latency import op_cycles, op_cost
-from repro.sim.layer_pipeline import (
-    interlayer_overlap_headroom,
-    simulate_layer_pipeline,
-)
-from repro.sim.loopnest import build_loop_nest, validate_loop_nest
-from repro.sim.mapper import search_mappings, table1_optimality_gap
-from repro.sim.mapping import TABLE1_MAPPING, inner_tile_extents
-from repro.sim.registers import (
-    register_pressure,
-    supports_register_retention,
-)
-from repro.sim.roofline import classify_report, machine_balance
-from repro.sim.stats import EnergyBreakdown, OpCost, PhaseStats, RunReport
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "EnergyBreakdown",
-    "OpCost",
-    "PhaseStats",
-    "RunReport",
-    "SimulationResult",
-    "TABLE1_MAPPING",
-    "build_loop_nest",
-    "classify_report",
-    "inner_tile_extents",
-    "interlayer_overlap_headroom",
-    "machine_balance",
-    "op_cost",
-    "op_cycles",
-    "register_pressure",
-    "search_mappings",
-    "simulate_epochs",
-    "simulate_layer_pipeline",
-    "supports_register_retention",
-    "table1_optimality_gap",
-    "validate_loop_nest",
-]
+_EXPORTS = {
+    "repro.sim.des": ("SimulationResult", "simulate_epochs"),
+    "repro.sim.latency": ("op_cost", "op_cycles"),
+    "repro.sim.layer_pipeline": (
+        "interlayer_overlap_headroom", "simulate_layer_pipeline",
+    ),
+    "repro.sim.loopnest": ("build_loop_nest", "validate_loop_nest"),
+    "repro.sim.mapper": ("search_mappings", "table1_optimality_gap"),
+    "repro.sim.mapping": ("TABLE1_MAPPING", "inner_tile_extents"),
+    "repro.sim.registers": (
+        "register_pressure", "supports_register_retention",
+    ),
+    "repro.sim.roofline": ("classify_report", "machine_balance"),
+    "repro.sim.stats": (
+        "EnergyBreakdown", "OpCost", "PhaseStats", "RunReport",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -310,7 +310,7 @@ class TileSeek:
         if diagnosis is not None:
             # Imported lazily: the taxonomy lives in the runner layer,
             # which imports back into tileseek via serialization.
-            from repro.runner.faults import InfeasiblePoint
+            from repro.runner.errors import InfeasiblePoint
 
             raise InfeasiblePoint(
                 f"{workload.describe()} on {arch.name}",
@@ -492,7 +492,7 @@ class TileSeek:
             cfg=minimal_cfg,
         )
         if diagnosis is not None:
-            from repro.runner.faults import InfeasiblePoint
+            from repro.runner.errors import InfeasiblePoint
 
             raise InfeasiblePoint(
                 f"{workload.describe()} on {arch.name}",

@@ -30,22 +30,14 @@ and the report types; the auditors and the orchestration layer
 to keep hot modules import-cycle-free.
 """
 
-from repro.validate.config import (
-    ENV_VALIDATE,
-    force_validation,
-    validation_enabled,
-)
-from repro.validate.report import (
-    AuditCheck,
-    AuditReport,
-    AuditViolation,
-)
+from repro._exports import export_names, lazy_exports
 
-__all__ = [
-    "ENV_VALIDATE",
-    "AuditCheck",
-    "AuditReport",
-    "AuditViolation",
-    "force_validation",
-    "validation_enabled",
-]
+_EXPORTS = {
+    "repro.validate.config": (
+        "ENV_VALIDATE", "force_validation", "validation_enabled",
+    ),
+    "repro.validate.report": ("AuditCheck", "AuditReport", "AuditViolation"),
+}
+
+__all__ = export_names(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -21,7 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.runner.parallel import GridPoint
+from repro.runner.chain import GridPoint
 from repro.sim.stats import RunReport
 
 #: The frozen corpus grid (kept small: ~2 s to re-price in full).

@@ -2,7 +2,7 @@
 
 :func:`validate_point` is the engine behind ``python -m repro
 validate``: it prices (or fetches from the PR-1 plan cache) one
-:class:`~repro.runner.parallel.GridPoint`, then runs the tiling,
+:class:`~repro.runner.chain.GridPoint`, then runs the tiling,
 conservation, oracle and schedule auditors over the resulting
 artifacts and returns one merged :class:`AuditReport`.
 
@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from repro.arch.spec import named_architecture
 from repro.baselines.base import SUBLAYERS
 from repro.baselines.registry import named_executor
-from repro.runner.parallel import GridPoint, compute_report
+from repro.runner.chain import GridPoint, compute_report
 from repro.sim.stats import RunReport
 from repro.tileseek.evaluate import dram_traffic_words
 from repro.validate.config import force_validation

@@ -217,12 +217,10 @@ class TestFusedPlannerEqualsLegacy:
 
     @pytest.mark.parametrize("layer,builder", CASES)
     def test_default_options(self, cloud, layer, builder):
-        from repro.dpipe.planner import (
-            clear_kernel_cache,
-            plan_cascade_legacy,
-        )
+        from repro.dpipe.planner import clear_kernel_cache
         from repro.model.config import named_model
         from repro.sim.mapping import inner_tile_extents
+        from tests.oracles.dpipe_legacy import plan_cascade_legacy
 
         extents = named_model("llama3").extents()
         extents.update({"p": 65536, "m0": 65536, "m1": 1})
@@ -244,12 +242,10 @@ class TestFusedPlannerEqualsLegacy:
         DPipeOptions(max_orders=3, max_bipartitions=2),
     ], ids=["energy", "edp", "pinned", "nopipe", "tiny-caps"])
     def test_option_variants(self, edge, options):
-        from repro.dpipe.planner import (
-            clear_kernel_cache,
-            plan_cascade_legacy,
-        )
+        from repro.dpipe.planner import clear_kernel_cache
         from repro.model.config import named_model
         from repro.sim.mapping import inner_tile_extents
+        from tests.oracles.dpipe_legacy import plan_cascade_legacy
 
         extents = named_model("llama3").extents()
         extents.update({"p": 65536, "m0": 65536, "m1": 1})
@@ -298,9 +294,9 @@ class TestKernelMemoization:
         from repro.dpipe.planner import (
             clear_kernel_cache,
             kernel_cache_size,
-            plan_cascade_legacy,
         )
         from repro.validate import force_validation
+        from tests.oracles.dpipe_legacy import plan_cascade_legacy
 
         cascade, tile = self._inputs(cloud)
         with force_validation(False):

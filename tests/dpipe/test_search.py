@@ -16,12 +16,7 @@ import pytest
 
 from repro.arch.pe import PEArrayKind
 from repro.dpipe.latency import LatencyTable
-from repro.dpipe.pipeline import (
-    ROOT,
-    best_window_schedule,
-    build_window,
-    legacy_window_schedule,
-)
+from repro.dpipe.pipeline import ROOT, best_window_schedule, build_window
 from repro.dpipe.scheduler import dp_schedule
 from repro.dpipe.search import InternedProblem, fused_best_order
 from repro.graph.dag import ComputationDAG
@@ -30,6 +25,7 @@ from repro.graph.toposort import (
     all_topological_orders,
     critical_path_order,
 )
+from tests.oracles.dpipe_legacy import legacy_window_schedule
 
 TWO_D = PEArrayKind.ARRAY_2D
 ONE_D = PEArrayKind.ARRAY_1D

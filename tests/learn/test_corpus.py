@@ -30,7 +30,7 @@ from repro.learn.corpus import (
     record_for,
 )
 from repro.runner.cache import PlanCache, code_salt, stable_hash
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from tests.learn.conftest import (
     ITERATIONS,
     put_entries,

@@ -18,7 +18,7 @@ from repro.learn.corpus import extract_corpus
 from repro.learn.predictor import KNNPredictor, save_model
 from repro.runner import GridPoint
 from repro.runner.cache import PlanCache, default_cache
-from repro.runner.parallel import report_cache_payload
+from repro.runner.chain import report_cache_payload
 from tests.learn.conftest import ITERATIONS, tiny_workload
 
 SRC = Path(__file__).resolve().parents[2] / "src"

@@ -28,7 +28,7 @@ from repro.learn.predictor import (
     save_model,
 )
 from repro.runner.cache import PlanCache
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from tests.learn.conftest import (
     put_entries,
     search_entry,

@@ -21,11 +21,7 @@ from repro.runner.cache import (
     stable_hash,
     workload_fingerprint,
 )
-from repro.runner.parallel import (
-    GridPoint,
-    compute_report,
-    report_cache_payload,
-)
+from repro.runner.chain import GridPoint, compute_report, report_cache_payload
 
 
 @pytest.fixture
@@ -73,6 +69,28 @@ class TestStableHash:
     def test_code_salt_stable_within_process(self):
         assert code_salt() == code_salt()
         assert len(code_salt()) == 64
+
+    def test_code_salt_digests_every_module_in_path_order(
+        self, monkeypatch
+    ):
+        # The salt's definition, spelled with pathlib: every module's
+        # relative path and bytes, sorted by path.  Cache keys of
+        # existing entries depend on it staying exactly this.
+        import hashlib
+        from pathlib import Path
+
+        import repro
+        import repro.runner.cache as cache_mod
+
+        root = Path(repro.__file__).resolve().parent
+        digest = hashlib.sha256()
+        digest.update(cache_mod.CACHE_SCHEMA.encode())
+        digest.update(repro.__version__.encode())
+        for source in sorted(root.rglob("*.py")):
+            digest.update(str(source.relative_to(root)).encode())
+            digest.update(source.read_bytes())
+        monkeypatch.setattr(cache_mod, "_code_salt", None)
+        assert code_salt() == digest.hexdigest()
 
 
 class TestPlanCache:
@@ -420,9 +438,9 @@ class TestKeyInvalidation:
             arch="cloud", batch=4,
         )
         base = report_cache_payload(tf)
-        import repro.runner.parallel as parallel
+        import repro.runner.chain as chain
 
-        real = parallel.executor_params
+        real = chain.executor_params
 
         def tweaked(name):
             params = real(name)
@@ -430,7 +448,7 @@ class TestKeyInvalidation:
                 params["tileseek_iterations"] = 123
             return params
 
-        monkeypatch.setattr(parallel, "executor_params", tweaked)
+        monkeypatch.setattr(chain, "executor_params", tweaked)
         assert stable_hash(base) != stable_hash(
             report_cache_payload(tf)
         )
@@ -470,16 +488,16 @@ class TestComputeReport:
     def test_second_call_served_from_disk(
         self, cache, point, monkeypatch
     ):
-        import repro.runner.parallel as parallel
+        import repro.runner.chain as chain
 
         calls = {"n": 0}
-        real = parallel.named_executor
+        real = chain.named_executor
 
         def spy(name):
             calls["n"] += 1
             return real(name)
 
-        monkeypatch.setattr(parallel, "named_executor", spy)
+        monkeypatch.setattr(chain, "named_executor", spy)
         arch = named_architecture("cloud")
         first = compute_report(point, cache=cache)
         built_after_first = calls["n"]

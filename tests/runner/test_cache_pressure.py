@@ -32,11 +32,8 @@ from repro.runner.cache import (
     resolve_cache_max_bytes,
     stable_hash,
 )
-from repro.runner.faults import (
-    ENV_FAULTS,
-    CacheBrownout,
-    SweepConfigError,
-)
+from repro.runner.errors import CacheBrownout, SweepConfigError
+from repro.settings import ENV_FAULTS
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +58,12 @@ def put_aged(cache, key, value, age_s):
     stamp = time.time() - age_s
     os.utime(path, (stamp, stamp))
     return path
+
+
+def identity(path):
+    """What the GC's scan records to recognise a victim."""
+    stat = path.stat()
+    return (stat.st_ino, stat.st_mtime_ns)
 
 
 def _race_refresh_put(root, key, barrier, results):
@@ -203,10 +206,10 @@ class TestGC:
     ):
         """The deterministic core of the put-vs-gc guarantee: a
         victim replaced between the GC's stat and its rename is
-        detected (mtime mismatch) and atomically restored."""
+        detected (identity mismatch) and atomically restored."""
         key = stable_hash({"k": "refresh"})
         path = put_aged(cache, key, {"v": 1}, 600)
-        scanned = path.stat().st_mtime_ns
+        scanned = identity(path)
         real_rename = os.rename
         state = {"raced": False}
 
@@ -227,7 +230,7 @@ class TestGC:
         """The loser of a rename race frees zero bytes."""
         key = stable_hash({"k": "victim"})
         path = put_aged(cache, key, {"v": 1}, 600)
-        scanned = path.stat().st_mtime_ns
+        scanned = identity(path)
         real_rename = os.rename
 
         def stolen(source, destination):
@@ -262,6 +265,37 @@ class TestGC:
             return entries
 
         monkeypatch.setattr(PlanCache, "_scan", scan_then_put)
+        cache.gc(cap)
+        monkeypatch.undo()
+        assert json.loads(target.read_text())["value"] == {
+            "fresh": True
+        }
+        assert not list(cache.root.rglob("*.gc"))
+
+    def test_put_with_the_scanned_mtime_survives(
+        self, cache, monkeypatch
+    ):
+        """A ``put`` landing within one timestamp tick of the scanned
+        write carries the scanned mtime.  Forced here by stamping the
+        scanned ``st_mtime_ns`` onto the fresh file: only its inode
+        tells it apart, and the GC must restore it, not delete it."""
+        key = stable_hash({"k": "same-tick"})
+        filler = stable_hash({"k": "filler"})
+        target = put_aged(cache, key, {"fresh": False}, 600)
+        kept = put_aged(cache, filler, {"fill": True}, 300)
+        cap = max(target.stat().st_size, kept.stat().st_size) + 16
+        real_scan = PlanCache._scan
+
+        def scan_then_put_in_the_same_tick(self):
+            entries = list(real_scan(self))
+            scanned_ns = target.stat().st_mtime_ns
+            cache.put("report", key, {"fresh": True})
+            os.utime(target, ns=(scanned_ns, scanned_ns))
+            return entries
+
+        monkeypatch.setattr(
+            PlanCache, "_scan", scan_then_put_in_the_same_tick
+        )
         cache.gc(cap)
         monkeypatch.undo()
         assert json.loads(target.read_text())["value"] == {

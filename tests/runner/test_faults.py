@@ -12,7 +12,8 @@ from repro.core.serialize import (
     sweep_result_from_dict,
     sweep_result_to_dict,
 )
-from repro.runner.faults import (
+from repro.runner.chain import GridPoint, resolve_jobs
+from repro.runner.errors import (
     CacheBrownout,
     CacheClearFailure,
     CacheCorruption,
@@ -23,18 +24,16 @@ from repro.runner.faults import (
     SweepConfigError,
     SweepError,
     WorkerCrash,
+)
+from repro.runner.faults import (
     active_plan,
     backoff_seconds,
     parse_faults,
     resolve_retries,
     resolve_timeout,
 )
-from repro.runner.parallel import (
-    GridPoint,
-    SweepResult,
-    resolve_jobs,
-    run_grid,
-)
+from repro.runner.parallel import run_grid
+from repro.runner.result import SweepResult
 
 
 def grid(executors=("unfused", "fusemax"), seqs=(512, 1024)):

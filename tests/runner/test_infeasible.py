@@ -21,14 +21,14 @@ from repro.core.serialize import (
     sweep_result_from_dict,
     sweep_result_to_dict,
 )
-from repro.runner.parallel import (
+from repro.runner.chain import (
     STATUS_INFEASIBLE,
     STATUS_OK,
     STATUS_SKIPPED,
     GridPoint,
-    InfeasiblePoint,
-    run_grid,
 )
+from repro.runner.errors import InfeasiblePoint
+from repro.runner.parallel import run_grid
 
 
 def tiny_buffer(arch):
@@ -52,7 +52,9 @@ def shrunken_edge(monkeypatch):
         arch = named_architecture(name)
         return tiny_buffer(arch) if name == "edge" else arch
 
-    monkeypatch.setattr(parallel, "named_architecture", lookup)
+    monkeypatch.setattr(
+        "repro.runner.chain.named_architecture", lookup
+    )
 
 
 def mixed_grid():
@@ -193,7 +195,7 @@ class TestSerialization:
 
 class TestBudgetedSweeps:
     def test_budget_validation(self, tmp_path):
-        from repro.runner.faults import SweepConfigError
+        from repro.runner.errors import SweepConfigError
 
         with pytest.raises(SweepConfigError, match=">= 1"):
             run_grid(

@@ -6,12 +6,13 @@ import pytest
 
 from repro.core.serialize import report_to_dict
 from repro.runner.cache import code_salt
+from repro.runner.chain import GridPoint
 from repro.runner.journal import (
     SweepJournal,
     default_journal_path,
     point_fingerprint,
 )
-from repro.runner.parallel import GridPoint, run_grid
+from repro.runner.parallel import run_grid
 
 
 def grid(executors=("unfused", "fusemax"), seqs=(512, 1024)):
@@ -68,7 +69,7 @@ class TestJournalFile:
     ):
         """The skip is surfaced: a JournalTruncation warning naming
         the file, not a silent shrug."""
-        from repro.runner.faults import JournalTruncation
+        from repro.runner.errors import JournalTruncation
 
         journal = SweepJournal(tmp_path / "j.jsonl")
         journal.record(point, "abc123", warm_start=False)
@@ -182,14 +183,14 @@ class TestResume:
         first = run_grid(points, jobs=1, cache_dir=tmp_path / "c",
                          journal=journal)
 
-        import repro.runner.parallel as parallel
+        import repro.runner.chain as chain
 
         def forbidden(name):
             raise AssertionError(
                 "resume must not construct executors"
             )
 
-        monkeypatch.setattr(parallel, "named_executor", forbidden)
+        monkeypatch.setattr(chain, "named_executor", forbidden)
         resumed = run_grid(points, jobs=1, cache_dir=tmp_path / "c",
                            journal=journal, resume=True)
         assert set(resumed.statuses.values()) == {"skipped"}

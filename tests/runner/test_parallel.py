@@ -9,13 +9,9 @@ import pytest
 
 from repro.core.serialize import report_to_dict
 from repro.runner.cache import PlanCache
-from repro.runner.parallel import (
-    GridPoint,
-    SweepResult,
-    _chains,
-    resolve_jobs,
-    run_grid,
-)
+from repro.runner.chain import GridPoint, _chains, resolve_jobs
+from repro.runner.parallel import run_grid
+from repro.runner.result import SweepResult
 
 
 def small_grid():
@@ -158,7 +154,7 @@ class TestCrossProcessDeterminism:
         the persistent cache with whichever variant ran first)."""
         script = (
             "import json\n"
-            "from repro.runner.parallel import GridPoint, "
+            "from repro.runner.chain import GridPoint, "
             "compute_report\n"
             "from repro.core.serialize import report_to_dict\n"
             "p = GridPoint(executor='transfusion', model='t5', "

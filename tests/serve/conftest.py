@@ -15,9 +15,9 @@ import json
 
 import pytest
 
-import repro.runner.parallel as parallel
+import repro.runner.chain as chain
 from repro.arch.spec import named_architecture
-from repro.runner.parallel import GridPoint
+from repro.runner.chain import GridPoint
 from repro.runner.pool import InlineWorkerPool
 from repro.serve.app import ServeApp
 
@@ -83,4 +83,4 @@ def shrunken_edge(monkeypatch):
         arch = named_architecture(name)
         return tiny_buffer(arch) if name == "edge" else arch
 
-    monkeypatch.setattr(parallel, "named_architecture", lookup)
+    monkeypatch.setattr(chain, "named_architecture", lookup)

@@ -17,12 +17,12 @@ import json
 import pytest
 
 import repro.serve.client as client_module
-from repro.runner.faults import (
+from repro.runner.errors import (
     FleetUnavailable,
     ServerOverloaded,
     SweepConfigError,
-    backoff_seconds,
 )
+from repro.runner.faults import backoff_seconds
 from repro.serve.breaker import (
     DEFAULT_BREAKER_COOLDOWN,
     DEFAULT_BREAKER_THRESHOLD,

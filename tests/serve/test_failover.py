@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.runner.faults import (
+from repro.runner.errors import (
     FleetUnavailable,
     ReplicaUnreachable,
     SweepConfigError,

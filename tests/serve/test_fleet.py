@@ -23,7 +23,7 @@ import warnings
 
 import pytest
 
-from repro.runner.faults import JournalTruncation
+from repro.runner.errors import JournalTruncation
 from repro.runner.journal import tolerant_lines
 from repro.serve.client import fleet_call, remote_call
 from repro.serve.fleet import FleetSupervisor, probe_health

@@ -32,7 +32,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: sides of the differential see the identical architecture.
 DRIVER = """
 import dataclasses, sys
-import repro.runner.parallel as parallel
+import repro.runner.chain as chain
 from repro.arch.spec import named_architecture
 
 def lookup(name):
@@ -46,7 +46,7 @@ def lookup(name):
         )
     return arch
 
-parallel.named_architecture = lookup
+chain.named_architecture = lookup
 from repro.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -155,7 +155,7 @@ def test_served_infeasible_diagnosis_matches_cold_cli(
 def test_served_sweep_matches_cold_cli(shrunken_edge):
     """A mixed sweep -- ok chain + infeasible point -- over the wire.
 
-    Point order replicates ``cmd_sweep``'s grid expansion
+    Point order replicates ``repro.cli.sweep.run``'s grid expansion
     (models x archs x executors x seqs), so the two documents are
     comparable field for field -- and therefore byte for byte.
     """

@@ -101,7 +101,7 @@ def test_load_skips_torn_trailing_line(tmp_path):
     post-mortem path."""
     import pytest
 
-    from repro.runner.faults import JournalTruncation
+    from repro.runner.errors import JournalTruncation
 
     journal = ServeJournal(tmp_path / "journal.jsonl")
     journal.record("plan", "search", fingerprint="fp", status="ok")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.serve.app import ServeApp
 from repro.serve.lru import SaltedLRU
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from repro.runner.pool import InlineWorkerPool
 from tests.serve.conftest import doc_of, plan_request
 

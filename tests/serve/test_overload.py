@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from repro.runner.pool import InlineWorkerPool
 from repro.serve.app import (
     DEFAULT_RETRY_MS,
@@ -257,7 +257,7 @@ class TestTransport503:
         """HTTP carries the typed rejection as 503 Service
         Unavailable -- distinct from fault-path 400s -- without
         touching the body bytes."""
-        from repro.runner.faults import ServerOverloaded
+        from repro.runner.errors import ServerOverloaded
         from repro.serve.protocol import (
             canonical_body,
             error_response,

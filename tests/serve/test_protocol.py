@@ -13,12 +13,10 @@ import json
 
 import pytest
 
-from repro.core.serialize import (
-    canonical_json,
-    failure_from_dict,
-    serve_request_to_dict,
-)
+from repro.core.serialize import failure_from_dict
+from repro.core.wire import canonical_json
 from repro.resilience.budget import UNITS_PER_SECOND
+from repro.serve.client import serve_request_to_dict
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ServeProtocolError,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from repro.serve.client import fleet_fingerprint
 from repro.serve.router import (
     parse_fleet,

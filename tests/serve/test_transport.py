@@ -23,7 +23,7 @@ from repro.serve.transport import (
     serve_stdio,
     start_http_server,
 )
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from tests.serve.conftest import plan_request, run
 
 

@@ -12,7 +12,7 @@ from repro.model.config import named_model
 from repro.model.workload import Workload
 from repro.resilience.budget import PROVENANCE_COMPLETE, is_degraded
 from repro.resilience.diagnostics import diagnose_infeasible
-from repro.runner.faults import InfeasiblePoint
+from repro.runner.errors import InfeasiblePoint
 from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.search import TileSeek
 from repro.validate.tiling import audit_tiling

@@ -8,6 +8,9 @@ and reports ``sys.modules`` afterwards:
 * a cold local ``plan`` loads the search stack but neither numpy nor
   the serving stack (HTTP, asyncio, worker pools, the
   learned-predictor corpus);
+* neither loads code no plan runs: other verbs' CLI modules, the
+  sweep fan-out, the simulator's cross-validation models, and the
+  fault-injection parser unless ``REPRO_FAULTS`` is set;
 * processes that fork workers -- ``make_pool`` and a parallel
   ``run_grid`` -- import the executor stack before forking, so no
   worker pays for it again, and load no numpy.
@@ -30,15 +33,35 @@ PLAN = [
     "--seq", "512", "--arch", "cloud", "--batch", "4",
 ]
 
+#: Code a local plan never runs, warm or cold: the simulator's
+#: cross-validation models, the sweep fan-out and its journal, the
+#: fault-injection parser (no ``REPRO_FAULTS`` set), the Gantt
+#: renderer and every other verb's CLI module.
+OFF_PLAN = (
+    "repro.sim.des", "repro.sim.loopnest", "repro.sim.layer_pipeline",
+    "repro.sim.mapper", "repro.sim.registers", "repro.sim.roofline",
+    "repro.runner.parallel", "repro.runner.journal",
+    "repro.runner.faults", "repro.runner.result",
+    "repro.dpipe.visualize",
+    *(
+        f"repro.cli.{verb}" for verb in (
+            "compare", "compile", "inspect", "stack", "decode",
+            "sweep", "validate", "serve", "fleet", "learn", "cache",
+            "figures",
+        )
+    ),
+)
+
 #: Modules a warm (disk-hit) local plan must not load.
-WARM_FORBIDDEN = (
-    "numpy", "repro.einsum", "repro.core.executor",
+WARM_FORBIDDEN = OFF_PLAN + (
+    "numpy", "repro.einsum", "repro.graph", "repro.sim",
+    "repro.core.executor", "repro.core.serialize",
     "repro.dpipe.planner", "repro.tileseek.search", "repro.serve.app",
     "asyncio",
 )
 
 #: Modules a cold local plan must not load.
-COLD_FORBIDDEN = (
+COLD_FORBIDDEN = OFF_PLAN + (
     "numpy", "repro.serve.app", "repro.serve.transport", "repro.serve.client",
     "repro.serve.fleet", "repro.runner.pool", "repro.learn.corpus",
     "asyncio", "http.client",
@@ -98,12 +121,13 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def run_probe(script, cache_dir, *args):
+def run_probe(script, cache_dir, *args, env_extra=None):
     """Run ``script`` in a fresh interpreter; returns its JSON line."""
     env = {
         key: value for key, value in os.environ.items()
         if not key.startswith("REPRO_")
     }
+    env.update(env_extra or {})
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     env["PYTHONPATH"] = str(SRC)
     completed = subprocess.run(
@@ -135,6 +159,20 @@ def test_cold_plan_skips_the_serving_stack(plan_runs):
     cold, _ = plan_runs
     assert "repro.core.executor" in cold[2]
     assert not set(COLD_FORBIDDEN) & set(cold[2])
+
+
+def test_armed_fault_spec_loads_the_fault_machinery(plan_runs, tmp_path):
+    # A spec that matches no site changes no bytes, but the chain
+    # runner must still read it: the parser loads because the
+    # variable is set, not because a rule fired.
+    cold, _ = plan_runs
+    armed = run_probe(
+        PLAN_PROBE, tmp_path, *PLAN,
+        env_extra={"REPRO_FAULTS": "crash:chain=99"},
+    )
+    assert armed[:2] == cold[:2]
+    assert "repro.runner.faults" in armed[2]
+    assert "repro.runner.faults" not in cold[2]
 
 
 def test_make_pool_preloads_the_executor_stack(tmp_path):

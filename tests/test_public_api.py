@@ -30,7 +30,21 @@ PACKAGES = [
 
 MODULES = [
     "repro.cli",
+    "repro.cli.cache",
+    "repro.cli.compare",
+    "repro.cli.compile",
+    "repro.cli.decode",
+    "repro.cli.figures",
+    "repro.cli.fleet",
+    "repro.cli.inspect",
+    "repro.cli.learn",
+    "repro.cli.plan",
+    "repro.cli.serve",
+    "repro.cli.stack",
+    "repro.cli.sweep",
+    "repro.cli.validate",
     "repro.core.serialize",
+    "repro.core.wire",
     "repro.core.stack",
     "repro.dpipe.visualize",
     "repro.arch.technology",
@@ -46,8 +60,12 @@ MODULES = [
     "repro.experiments.decode",
     "repro.experiments.sensitivity",
     "repro.runner.cache",
+    "repro.runner.chain",
+    "repro.runner.errors",
+    "repro.runner.faults",
     "repro.runner.parallel",
     "repro.runner.pool",
+    "repro.runner.result",
     "repro.serve.app",
     "repro.serve.client",
     "repro.serve.coalesce",

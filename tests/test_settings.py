@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runner.faults import SweepConfigError
+from repro.runner.errors import SweepConfigError
 from repro.settings import (
     FALSY_VALUES,
     KNOWN_SETTINGS,
@@ -119,7 +119,7 @@ class TestConsumersUseTypedErrors:
     """The re-pointed call sites keep their historical messages."""
 
     def test_jobs(self, monkeypatch):
-        from repro.runner.parallel import resolve_jobs
+        from repro.runner.chain import resolve_jobs
 
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(SweepConfigError) as err:

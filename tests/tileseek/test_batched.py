@@ -27,7 +27,8 @@ from repro.resilience.diagnostics import (
     diagnose_infeasible,
     diagnose_infeasible_batch,
 )
-from repro.runner.parallel import GridPoint, run_grid
+from repro.runner.chain import GridPoint
+from repro.runner.parallel import run_grid
 from repro.tileseek.batched import (
     EXACT_FLOAT_LIMIT,
     BatchedTilingEvaluator,

@@ -17,7 +17,7 @@ import sys
 
 SCRIPT = (
     "import json\n"
-    "from repro.runner.parallel import GridPoint\n"
+    "from repro.runner.chain import GridPoint\n"
     "from repro.validate.runner import validate_point\n"
     "from repro.core.serialize import audit_report_to_dict, "
     "report_to_dict\n"

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.runner.parallel import compute_report
+from repro.runner.chain import compute_report
 from repro.validate.golden import (
     GOLDEN_ARCHS,
     GOLDEN_DEGRADED_BUDGET,
