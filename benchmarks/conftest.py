@@ -22,19 +22,29 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def merge_perf_records(path: Path, records: dict) -> None:
+    """Merge one session's records into the JSON file at ``path``.
+
+    Records are keyed by benchmark; a key this session logged
+    replaces the stored entry, and every other stored entry is kept,
+    so sessions that run different benchmarks accumulate in one file.
+    """
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    merged.update(records)
+    path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+
+
 @pytest.fixture(scope="session")
 def _perf_records(results_dir):
-    """Collects framework-perf metrics across the session and writes
-    ``results/BENCH_framework.json`` at teardown (machine-readable
-    counterpart of the per-figure ``.txt`` tables; CI archives it as
-    an artifact so perf history is diffable across runs)."""
+    """Collects framework-perf metrics across the session and merges
+    them into ``results/BENCH_framework.json`` at teardown
+    (machine-readable counterpart of the per-figure ``.txt`` tables;
+    CI archives it as an artifact so perf history is diffable across
+    runs)."""
     records: dict = {}
     yield records
     if records:
-        path = results_dir / "BENCH_framework.json"
-        path.write_text(
-            json.dumps(records, indent=2, sort_keys=True) + "\n"
-        )
+        merge_perf_records(results_dir / "BENCH_framework.json", records)
 
 
 @pytest.fixture

@@ -71,8 +71,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help=(
-            "extra attempts per failed chain with deterministic "
-            "backoff (default: REPRO_RETRIES, else 0)"
+            "extra attempts per failed chain "
+            "(default: REPRO_RETRIES, else 0)"
         ),
     )
     parser.add_argument(

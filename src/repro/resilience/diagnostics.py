@@ -20,7 +20,7 @@ diagnosis cannot change).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional
 
 from repro.model.config import ModelConfig
 from repro.tileseek.buffer_model import (
@@ -145,93 +145,3 @@ def diagnose_infeasible(
         module_words=module_words,
         smallest_tile=cfg.as_dict(),
     )
-
-
-def diagnose_infeasible_batch(
-    model: ModelConfig,
-    buffer_words: int,
-    m0: int,
-    rows: int,
-    cfgs: Sequence[Optional[TilingConfig]],
-) -> List[Optional[BufferDiagnosis]]:
-    """Batched :func:`diagnose_infeasible` over many minimal tiles.
-
-    Prices every configuration's Table-2 footprints in one vectorized
-    pass (the batched search path's minimal-tile check, also useful
-    for sweep-wide pre-flight screening).  Per entry the result is
-    exactly what :func:`diagnose_infeasible` returns -- same
-    integers, same first-in-Table-2-order tie-break for
-    ``worst_module`` -- or ``None`` when that tile fits.
-
-    Args:
-        model: Model shapes.
-        buffer_words: On-chip capacity.
-        m0: Inner K/V tile length, used for defaulted entries.
-        rows: 2D-array rows, used for defaulted entries.
-        cfgs: Minimal configurations to indict; a ``None`` entry
-            defaults to :func:`minimal_config`.
-    """
-    # Imported lazily: the batched kernel imports the buffer model
-    # from this package's sibling, and keeping diagnostics NumPy-free
-    # at import time preserves the historical import graph.
-    import numpy as np
-
-    from repro.tileseek.batched import (
-        table2_module_words,
-        words_dtype_for,
-    )
-
-    resolved = [
-        cfg if cfg is not None
-        else minimal_config(model, m0=m0, rows=rows)
-        for cfg in cfgs
-    ]
-    if not resolved:
-        return []
-    corner = TilingConfig(
-        b=max(c.b for c in resolved),
-        d=max(c.d for c in resolved),
-        m1=max(c.m1 for c in resolved),
-        m0=max(c.m0 for c in resolved),
-        p=max(c.p for c in resolved),
-        s=max(c.s for c in resolved),
-        p_prime=max(c.p_prime for c in resolved),
-    )
-    dtype = words_dtype_for(model, corner)
-    columns = {
-        name: np.array(
-            [getattr(c, name) for c in resolved], dtype=dtype
-        )
-        for name in ("b", "d", "m1", "m0", "p", "s", "p_prime")
-    }
-    words = table2_module_words(
-        model, columns["b"], columns["d"], columns["m1"],
-        columns["m0"], columns["p"], columns["s"],
-        columns["p_prime"],
-    )
-    # First-max tie-break in Table-2 order, like the scalar ``max``:
-    # strictly-greater comparisons leave earlier modules in place.
-    required = words[FUSED_MODULES[0]]
-    worst = np.zeros(len(resolved), dtype=np.int64)
-    for index, module in enumerate(FUSED_MODULES[1:], start=1):
-        better = words[module] > required
-        required = np.where(better, words[module], required)
-        worst = np.where(better, index, worst)
-    results: List[Optional[BufferDiagnosis]] = []
-    for row, cfg in enumerate(resolved):
-        need = int(required[row])
-        if need <= buffer_words:
-            results.append(None)
-            continue
-        results.append(BufferDiagnosis(
-            capacity_words=int(buffer_words),
-            required_words=need,
-            overflow_words=int(need - buffer_words),
-            worst_module=FUSED_MODULES[int(worst[row])],
-            module_words={
-                module: int(words[module][row])
-                for module in FUSED_MODULES
-            },
-            smallest_tile=cfg.as_dict(),
-        ))
-    return results

@@ -77,16 +77,15 @@ them:
     written -- a concurrent GC stealing the key between a ``put``
     and the next ``get``.
 
-Retry backoff is deterministic: ``backoff_seconds`` derives a jitter
-factor from a SHA-256 over (key, attempt), so reruns sleep the same
-schedule and serial/parallel results stay byte-identical under
-retries.
+Sweep retries re-run a failed chain at once.  ``backoff_seconds`` is
+the deterministic backoff of the fleet supervisor and the circuit
+breaker: it derives a jitter factor from a SHA-256 over (key,
+attempt), so reruns wait the same schedule.
 
 Environment variables: ``REPRO_FAULTS`` (injection spec),
-``REPRO_TIMEOUT`` (per-chain seconds, float), ``REPRO_RETRIES``
-(extra attempts per chain, int), ``REPRO_BACKOFF`` (base backoff
-seconds, default 0).  All are parsed through the typed getters in
-:mod:`repro.settings`, so malformed values raise
+``REPRO_TIMEOUT`` (per-chain seconds, float) and ``REPRO_RETRIES``
+(extra attempts per chain, int).  All are parsed through the typed
+getters in :mod:`repro.settings`, so malformed values raise
 :class:`SweepConfigError` with the variable name in the message.
 """
 
@@ -109,7 +108,6 @@ from repro.settings import ENV_FAULTS, armed_faults, env_float, env_int
 
 ENV_TIMEOUT = "REPRO_TIMEOUT"
 ENV_RETRIES = "REPRO_RETRIES"
-ENV_BACKOFF = "REPRO_BACKOFF"
 
 #: How long an injected ``hang`` occupies a pool worker before it
 #: gives up on its own (so an un-timed-out sweep still terminates).
@@ -438,20 +436,14 @@ def resolve_retries(retries: Optional[int] = None) -> int:
     return retries
 
 
-def backoff_seconds(
-    key: str, attempt: int, base: Optional[float] = None
-) -> float:
+def backoff_seconds(key: str, attempt: int, base: float) -> float:
     """Deterministic backoff before retry ``attempt + 1``.
 
     Exponential in the attempt with a seeded jitter factor in
     [1, 2) derived from SHA-256 over ``(key, attempt)`` -- the same
-    chain backs off the same way in every rerun, keeping retried
-    sweeps reproducible.  ``base`` defaults to ``REPRO_BACKOFF``
-    (0 -- no sleeping -- unless configured).
+    key backs off the same way in every rerun.  A ``base`` <= 0
+    means no backoff.
     """
-    if base is None:
-        env_base = env_float(ENV_BACKOFF, "a number of seconds")
-        base = env_base if env_base is not None else 0.0
     if base <= 0:
         return 0.0
     digest = hashlib.sha256(

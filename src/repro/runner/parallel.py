@@ -97,11 +97,7 @@ from repro.runner.errors import (
     SweepError,
     WorkerCrash,
 )
-from repro.runner.faults import (
-    backoff_seconds,
-    resolve_retries,
-    resolve_timeout,
-)
+from repro.runner.faults import resolve_retries, resolve_timeout
 from repro.runner.journal import SweepJournal, point_fingerprint
 from repro.runner.result import SweepResult
 
@@ -211,7 +207,6 @@ def _serial_outcomes(
                     type(exc).__name__, str(exc),
                 )
             if attempt < retries:
-                time.sleep(backoff_seconds(f"chain-{chain_id}", attempt))
                 attempt += 1
                 continue
             if strict:
@@ -451,9 +446,6 @@ def _parallel_outcomes(
         for chain_id, error in sorted(failures.items()):
             attempt = attempts[chain_id]
             if attempt < retries:
-                time.sleep(
-                    backoff_seconds(f"chain-{chain_id}", attempt)
-                )
                 pending[chain_id] = attempt + 1
             elif strict:
                 raise error
@@ -535,8 +527,7 @@ def run_grid(
             chains are still running.  Serial mode honors
             cooperative (injected) hangs only.
         retries: Extra attempts per failed chain (``None``:
-            ``REPRO_RETRIES``, else 0), with deterministic seeded
-            backoff (``REPRO_BACKOFF``).
+            ``REPRO_RETRIES``, else 0).
         strict: ``True`` (default) raises the first typed failure
             once its retries are exhausted -- the historical
             all-or-nothing behavior.  ``False`` degrades gracefully:

@@ -20,7 +20,6 @@ variable               meaning
 ``REPRO_JOBS``         sweep worker processes (int >= 1)
 ``REPRO_TIMEOUT``      per-chain timeout seconds (float; <= 0 off)
 ``REPRO_RETRIES``      extra attempts per failed chain (int >= 0)
-``REPRO_BACKOFF``      base retry backoff seconds (float)
 ``REPRO_FAULTS``       deterministic fault-injection spec
 ``REPRO_CACHE``        persistent cache on/off (default on)
 ``REPRO_CACHE_DIR``    persistent cache root directory
@@ -34,8 +33,6 @@ variable               meaning
                        unit budget once at search entry
 ``REPRO_NO_FALLBACK``  disable the graceful-degradation ladder
 ``REPRO_BENCH_STRICT`` fail benchmarks outside their paper bands
-``REPRO_SCALAR_EVAL``  force TileSeek's scalar evaluation oracle
-                       (the batched NumPy path is the default)
 ``REPRO_LEARN``        consult the learned warm-start predictor on
                        cold searches (default off; off is
                        byte-identical to a tree without it)
@@ -124,7 +121,6 @@ KNOWN_SETTINGS: Dict[str, Tuple[str, str]] = {
     "REPRO_JOBS": ("int", "sweep worker processes"),
     "REPRO_TIMEOUT": ("float", "per-chain timeout in seconds"),
     "REPRO_RETRIES": ("int", "extra attempts per failed chain"),
-    "REPRO_BACKOFF": ("float", "base retry backoff in seconds"),
     "REPRO_FAULTS": ("spec", "deterministic fault-injection spec"),
     "REPRO_CACHE": ("bool", "persistent result cache on/off"),
     "REPRO_CACHE_DIR": ("path", "persistent cache root"),
@@ -136,9 +132,6 @@ KNOWN_SETTINGS: Dict[str, Tuple[str, str]] = {
     "REPRO_DEADLINE": ("float", "advisory soft deadline in seconds"),
     "REPRO_NO_FALLBACK": ("bool", "disable the degradation ladder"),
     "REPRO_BENCH_STRICT": ("bool", "fail benchmarks out of band"),
-    "REPRO_SCALAR_EVAL": (
-        "bool", "force the scalar TileSeek evaluation oracle"
-    ),
     "REPRO_LEARN": (
         "bool", "learned warm-start predictor on/off"
     ),

@@ -12,7 +12,7 @@ module implements the four MCTS phases generically:
 
 The evaluator returns a reward in ``[0, inf)`` (0 = invalid leaf), so
 constraint validation is part of the reward signal as well as the
-optional ``prune`` callback that drops provably infeasible subtrees.
+optional ``viable`` oracle that drops provably infeasible subtrees.
 
 Two resilience behaviours (both deterministic):
 
@@ -32,37 +32,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.resilience.budget import Budget
 
 Assignment = Tuple[int, ...]
 Evaluate = Callable[[Assignment], float]
-EvaluateBatch = Callable[[Sequence[Assignment]], Sequence[float]]
-Prune = Callable[[Assignment], bool]
 Viable = Callable[[Assignment, int], List[int]]
-
-@dataclass
-class _Node:
-    """One search-tree node: a partial assignment prefix."""
-
-    prefix: Assignment
-    untried: List[int]
-    children: Dict[int, "_Node"] = field(default_factory=dict)
-    visits: int = 0
-    total_reward: float = 0.0
-
-    @property
-    def mean_reward(self) -> float:
-        return self.total_reward / self.visits if self.visits else 0.0
-
-    def ucb_score(self, child: "_Node", c: float) -> float:
-        """UCB1: exploitation plus exploration bonus."""
-        if child.visits == 0:
-            return float("inf")
-        explore = math.sqrt(math.log(self.visits) / child.visits)
-        return child.mean_reward + c * explore
 
 
 @dataclass(frozen=True)
@@ -87,16 +64,72 @@ class MCTSStats:
     exhausted: bool = False
 
 
+class _Node:
+    """One search-tree node: a partial assignment prefix.
+
+    Children are kept in expansion order, which is the order UCB1
+    selection visits them in.
+    """
+
+    __slots__ = ("prefix", "untried", "visits", "total_reward",
+                 "children")
+
+    def __init__(self, prefix: Assignment, untried: List[int]) -> None:
+        self.prefix = prefix
+        self.untried = untried
+        self.visits = 0
+        self.total_reward = 0.0
+        self.children: List["_Node"] = []
+
+    def select_child(self, exploration: float) -> "_Node":
+        """UCB1: exploitation plus exploration bonus.
+
+        Zero-visit children score ``inf``, so the first one wins.  For
+        the visited case each score is ``mean + c * sqrt(log(N) / n)``
+        term for term, with ``log(N)`` computed once per selection
+        instead of once per child -- the same correctly-rounded value
+        either way.  A strict ``>`` keeps the first maximum, as
+        Python's ``max`` does.
+        """
+        children = self.children
+        for child in children:
+            if child.visits == 0:
+                return child
+        log_n = math.log(self.visits)
+        best = children[0]
+        count = best.visits
+        best_score = (
+            best.total_reward / count
+            + exploration * math.sqrt(log_n / count)
+        )
+        for child in children[1:]:
+            count = child.visits
+            score = (
+                child.total_reward / count
+                + exploration * math.sqrt(log_n / count)
+            )
+            if score > best_score:
+                best_score = score
+                best = child
+        return best
+
+
 def mcts_search(
     levels: Sequence[Sequence[int]],
     evaluate: Evaluate,
     iterations: int,
     seed: int = 0,
     exploration: float = 1.4,
-    prune: Optional[Prune] = None,
+    viable: Optional[Viable] = None,
     budget: Optional[Budget] = None,
 ) -> MCTSStats:
-    """Run MCTS over a fixed-depth decision tree.
+    """Run MCTS over a fixed-depth decision tree, one leaf per
+    iteration.
+
+    The random trajectory depends only on the seed and on list
+    lengths: expansion draws ``randrange(len(untried))`` and rollouts
+    draw ``choice(viable_list)``, so two ``viable`` oracles that
+    return the same lists yield the same search, stat for stat.
 
     Args:
         levels: Candidate values per decision level, in order.
@@ -104,11 +137,13 @@ def mcts_search(
         iterations: Selection/expansion/simulation/backprop rounds.
         seed: RNG seed (search is fully deterministic given it).
         exploration: UCB1 exploration constant.
-        prune: Optional predicate on *partial* assignments; True means
-            no completion can be feasible, so the child is never
-            expanded.  A prefix under which *every* candidate at some
-            level is pruned makes the iteration a dead-end: zero
-            reward is backpropagated and the evaluator is not called.
+        viable: ``(prefix, level) -> values`` returning the level's
+            candidates with a feasible completion under the prefix,
+            in level order; ``None`` means no pruning.  The driver
+            copies each list, so the oracle may memoise them.  A
+            prefix under which some level has *no* viable candidate
+            makes the iteration a dead-end: zero reward is
+            backpropagated and the evaluator is not called.
         budget: Optional deterministic unit budget, charged one unit
             per iteration; exhaustion ends the search with its
             best-so-far result.
@@ -124,10 +159,11 @@ def mcts_search(
     depth = len(levels)
 
     def viable_values(prefix: Assignment, level: int) -> List[int]:
-        values = list(levels[level])
-        if prune is not None:
-            values = [v for v in values if not prune(prefix + (v,))]
-        return values
+        # A fresh list per call: nodes pop their ``untried`` list,
+        # which must not alias a memoised one.
+        if viable is None:
+            return list(levels[level])
+        return list(viable(prefix, level))
 
     root = _Node(prefix=(), untried=viable_values((), 0))
     best_reward = -1.0
@@ -153,10 +189,7 @@ def mcts_search(
             and node.children
             and len(node.prefix) < depth
         ):
-            node = max(
-                node.children.values(),
-                key=lambda ch: path[-1].ucb_score(ch, exploration),
-            )
+            node = node.select_child(exploration)
             path.append(node)
         # Expansion: materialize one untried child.
         if node.untried and len(node.prefix) < depth:
@@ -172,7 +205,7 @@ def mcts_search(
                     else []
                 ),
             )
-            node.children[value] = child
+            node.children.append(child)
             node = child
             path.append(node)
             node_count += 1
@@ -201,220 +234,6 @@ def mcts_search(
         for visited in path:
             visited.visits += 1
             visited.total_reward += reward
-
-    return MCTSStats(
-        iterations=performed,
-        evaluations=evaluations,
-        best_reward=best_reward,
-        best_assignment=best_assignment,
-        tree_nodes=node_count,
-        dead_ends=dead_ends,
-        exhausted=exhausted,
-    )
-
-
-class _BNode:
-    """Slotted search-tree node for the batched driver.
-
-    Children are kept in expansion order -- the same iteration order
-    as the scalar driver's insertion-ordered ``children`` dict -- so
-    UCB1 selection visits them in the order the scalar ``max`` does.
-    """
-
-    __slots__ = ("prefix", "untried", "visits", "total_reward",
-                 "children")
-
-    def __init__(self, prefix: Assignment, untried: List[int]) -> None:
-        self.prefix = prefix
-        self.untried = untried
-        self.visits = 0
-        self.total_reward = 0.0
-        self.children: List["_BNode"] = []
-
-    def select_child(self, exploration: float) -> "_BNode":
-        """UCB1, bit-identical to the scalar rule.
-
-        Zero-visit children score ``inf``, so the first one wins,
-        matching Python ``max``'s first-max tie-break.  For the
-        visited case each score is the scalar
-        ``mean + c * sqrt(log(N) / n)`` term for term, with ``log(N)``
-        computed once per selection instead of once per child -- the
-        same correctly-rounded value either way.
-        """
-        children = self.children
-        for child in children:
-            if child.visits == 0:
-                return child
-        log_n = math.log(self.visits)
-        best = children[0]
-        count = best.visits
-        best_score = (
-            best.total_reward / count
-            + exploration * math.sqrt(log_n / count)
-        )
-        for child in children[1:]:
-            count = child.visits
-            score = (
-                child.total_reward / count
-                + exploration * math.sqrt(log_n / count)
-            )
-            if score > best_score:
-                best_score = score
-                best = child
-        return best
-
-
-def mcts_search_batched(
-    levels: Sequence[Sequence[int]],
-    evaluate_batch: EvaluateBatch,
-    iterations: int,
-    seed: int = 0,
-    exploration: float = 1.4,
-    viable: Optional[Viable] = None,
-    budget: Optional[Budget] = None,
-) -> MCTSStats:
-    """Frontier-batched MCTS, byte-identical to :func:`mcts_search`.
-
-    Same contract and statistics as the scalar driver, but leaves are
-    priced through ``evaluate_batch`` -- whole frontiers in one call --
-    and candidate filtering goes through a ``viable`` oracle (a
-    per-prefix minimal-completion prune) instead of a per-candidate
-    ``prune`` predicate.
-
-    Byte-identity rests on two invariants:
-
-    * **RNG order.**  Expansion draws ``randrange(len(untried))`` and
-      rollouts draw ``choice(viable_list)``; both consume seed bits as
-      a function of *list lengths only*, and ``viable`` must return
-      exactly the lists the scalar prune induces, so the random
-      trajectory is identical.
-    * **Reward independence of the frontier.**  Iterations are batched
-      only while the root still has untried children: UCB1 selection
-      never runs before the root is fully expanded, so none of those
-      iterations reads statistics the others write.  Rewards are
-      folded back in original iteration order (best-incumbent updates
-      and backpropagation included), after which the driver proceeds
-      one leaf per batch -- selection is reward-dependent from then
-      on.
-
-    Args:
-        levels: Candidate values per decision level, in order.
-        evaluate_batch: Scores a list of *complete* assignments,
-            returning one reward each, in order; must equal a scalar
-            evaluator called sequentially (caching included).
-        iterations: Selection/expansion/simulation/backprop rounds.
-        seed: RNG seed (search is fully deterministic given it).
-        exploration: UCB1 exploration constant.
-        viable: ``(prefix, level) -> values`` returning the level's
-            candidates with a feasible minimal completion under the
-            prefix, in level order; ``None`` means no pruning.  The
-            driver copies each list, so the oracle may memoise them.
-        budget: Optional deterministic unit budget, charged one unit
-            per iteration; exhaustion ends the search with its
-            best-so-far result.
-
-    Returns:
-        Search statistics, equal to the scalar driver's field by
-        field.
-    """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if any(len(values) == 0 for values in levels):
-        raise ValueError("every level needs at least one candidate")
-    rng = random.Random(seed)
-    depth = len(levels)
-
-    def viable_values(prefix: Assignment, level: int) -> List[int]:
-        # A fresh list per call, as the scalar driver builds: nodes pop
-        # their ``untried`` list, which must not alias a memoised one.
-        if viable is None:
-            return list(levels[level])
-        return list(viable(prefix, level))
-
-    root = _BNode(prefix=(), untried=viable_values((), 0))
-    best_reward = -1.0
-    best_assignment: Assignment = tuple(
-        values[0] for values in levels
-    )
-    evaluations = 0
-    dead_ends = 0
-    node_count = 1
-    performed = 0
-    exhausted = False
-
-    while performed < iterations and not exhausted:
-        # Collect one frontier: the whole root-expansion burst while
-        # selection cannot run, then single iterations.
-        walks: List[Tuple[List[_BNode], Optional[Assignment]]] = []
-        while performed < iterations:
-            if budget is not None and not budget.charge():
-                exhausted = True
-                break
-            performed += 1
-            # Selection: descend while fully expanded and not a leaf.
-            node = root
-            path = [node]
-            while (
-                not node.untried
-                and node.children
-                and len(node.prefix) < depth
-            ):
-                node = node.select_child(exploration)
-                path.append(node)
-            # Expansion: materialize one untried child.
-            if node.untried and len(node.prefix) < depth:
-                value = node.untried.pop(
-                    rng.randrange(len(node.untried))
-                )
-                level = len(node.prefix) + 1
-                child = _BNode(
-                    prefix=node.prefix + (value,),
-                    untried=(
-                        viable_values(node.prefix + (value,), level)
-                        if level < depth
-                        else []
-                    ),
-                )
-                node.children.append(child)
-                node = child
-                path.append(node)
-                node_count += 1
-            # Simulation: random rollout to a full assignment; a level
-            # with zero viable candidates is a dead-end.
-            assignment = list(node.prefix)
-            dead_end = False
-            for level in range(len(assignment), depth):
-                choices = viable_values(tuple(assignment), level)
-                if not choices:
-                    dead_end = True
-                    break
-                assignment.append(rng.choice(choices))
-            walks.append(
-                (path, None if dead_end else tuple(assignment))
-            )
-            # Past the root burst, selection reads reward statistics:
-            # close the frontier so they are folded in first.
-            if not root.untried:
-                break
-        # Price the frontier's live leaves in one batched call.
-        pending = [leaf for _, leaf in walks if leaf is not None]
-        rewards = list(evaluate_batch(pending)) if pending else []
-        # Fold back in original iteration order.
-        cursor = 0
-        for path, leaf in walks:
-            if leaf is None:
-                dead_ends += 1
-                reward = 0.0
-            else:
-                reward = rewards[cursor]
-                cursor += 1
-                evaluations += 1
-                if reward > best_reward:
-                    best_reward = reward
-                    best_assignment = leaf
-            for visited in path:
-                visited.visits += 1
-                visited.total_reward += reward
 
     return MCTSStats(
         iterations=performed,

@@ -5,19 +5,14 @@ Binds the generic MCTS to the tiling problem: candidate grids for the
 analytical reward, and a memoized evaluation cache (MCTS revisits
 leaves; Timeloop-style evaluation is the expensive step in the paper).
 
-Two interchangeable evaluation paths drive the same search:
-
-* the **batched** default, which drives the frontier-batched MCTS
-  and prunes each prefix once per candidate level with a hoisted
-  exact-integer Table-2 footprint, in plain Python, and
-* the **scalar oracle** (``REPRO_SCALAR_EVAL=1`` or
-  ``search(..., scalar=True)``), the original one-candidate-at-a-time
-  path, kept verbatim as the differential reference.
-
-The two are byte-identical by contract -- same
-:class:`TileSeekResult` (config, assessment, stats, provenance) for
-every input -- which the property suite asserts; see DESIGN.md §10
-for the exactness argument.
+The search prices every candidate with :func:`assess_tiling` in exact
+Python integers and prunes each prefix once per candidate level, with
+the Table-2 constants hoisted and an early exit at the first
+overflowing value.  The original one-candidate-at-a-time search is
+kept as a test oracle (``tests/oracles/tileseek_scalar.py``); the two
+are byte-identical by contract -- same :class:`TileSeekResult`
+(config, assessment, stats, provenance) for every input.  See
+DESIGN.md §10 for the exactness argument.
 """
 
 from __future__ import annotations
@@ -35,10 +30,8 @@ from repro.resilience.budget import (
     resolve_budget,
 )
 from repro.resilience.ladder import classify_rung
-from repro.settings import env_bool
 from repro.tileseek.buffer_model import (
     TilingConfig,
-    fused_buffer_requirement,
     intra_tile_p_prime,
     max_feasible_q_tile,
     table2_footprint,
@@ -48,11 +41,7 @@ from repro.tileseek.evaluate import (
     assess_tiling,
     reward_for,
 )
-from repro.tileseek.mcts import (
-    MCTSStats,
-    mcts_search,
-    mcts_search_batched,
-)
+from repro.tileseek.mcts import MCTSStats, mcts_search
 
 #: Search order of the outer tiling factors (one MCTS tree level each).
 FACTOR_ORDER: Tuple[str, ...] = ("b", "d", "m1", "p", "s")
@@ -204,7 +193,6 @@ class TileSeek:
         warm_start: Sequence[Sequence[int]] = (),
         budget: Optional[int] = None,
         allow_fallback: Optional[bool] = None,
-        scalar: Optional[bool] = None,
         learned: Sequence[Sequence[int]] = (),
     ) -> TileSeekResult:
         """Find the best feasible outer tiling for one fused layer.
@@ -226,10 +214,6 @@ class TileSeek:
             allow_fallback: Whether the degradation ladder may supply
                 the result when the budgeted search yields nothing
                 better; ``None`` defers to ``REPRO_NO_FALLBACK``.
-            scalar: Force the scalar differential oracle (``True``) or
-                the batched path (``False``); ``None`` defers to
-                ``REPRO_SCALAR_EVAL`` (batched by default).  Both
-                return byte-identical results.
             learned: Optional predicted assignments (in
                 :data:`FACTOR_ORDER`) from the fitted corpus model
                 (:mod:`repro.learn`).  Treated exactly like warm
@@ -246,36 +230,6 @@ class TileSeek:
                 carries the buffer-level diagnosis.
             RuntimeError: When the result would be a fallback rung and
                 fallback is disabled.
-        """
-        if scalar is None:
-            scalar = env_bool("REPRO_SCALAR_EVAL", default=False)
-        if scalar:
-            return self.search_scalar(
-                workload, arch, warm_start=warm_start,
-                budget=budget, allow_fallback=allow_fallback,
-                learned=learned,
-            )
-        return self._search_batched(
-            workload, arch, warm_start=warm_start,
-            budget=budget, allow_fallback=allow_fallback,
-            learned=learned,
-        )
-
-    def search_scalar(
-        self,
-        workload: Workload,
-        arch: ArchitectureSpec,
-        warm_start: Sequence[Sequence[int]] = (),
-        budget: Optional[int] = None,
-        allow_fallback: Optional[bool] = None,
-        learned: Sequence[Sequence[int]] = (),
-    ) -> TileSeekResult:
-        """The scalar evaluation path (the differential oracle).
-
-        One candidate at a time through :func:`assess_tiling` and the
-        per-candidate prune -- the original implementation, retained
-        verbatim so the batched path has a bit-for-bit reference.  See
-        :meth:`search` for the contract.
         """
         grid = self.candidate_grid(workload, arch)
         fixed = self.fixed_factors(arch)
@@ -346,28 +300,29 @@ class TileSeek:
                 cache[assignment] = entry
             return entry[0]
 
-        # Rollouts revisit the same prefixes constantly; the Table-2
-        # completion check is pure, so memoize it per prefix.
-        prune_cache: Dict[Tuple[int, ...], bool] = {}
+        # The minimal-completion prune, once per unique prefix over
+        # the whole candidate level.  Levels ascend and Table 2 is
+        # monotone in every factor, so the first overflowing value
+        # ends the walk: every larger value overflows too.
+        footprint = table2_footprint(
+            workload.model, fixed["m0"], fixed["rows"]
+        )
+        capacity = arch.buffer_words
+        viable_cache: Dict[Tuple[int, ...], List[int]] = {}
 
-        def prune(partial: Tuple[int, ...]) -> bool:
-            # Lower-bound feasibility: complete the prefix with the
-            # smallest remaining candidates; if even that overflows
-            # the buffer, no completion is feasible (the Table-2
-            # formulas are monotone in every factor).
-            infeasible = prune_cache.get(partial)
-            if infeasible is None:
-                full = list(partial) + [
-                    min(grid[name])
-                    for name in FACTOR_ORDER[len(partial):]
-                ]
-                cfg = self._config_from(full, fixed)
-                required = fused_buffer_requirement(
-                    cfg, workload.model
-                )
-                infeasible = required > arch.buffer_words
-                prune_cache[partial] = infeasible
-            return infeasible
+        def viable(
+            prefix: Tuple[int, ...], level: int
+        ) -> List[int]:
+            values = viable_cache.get(prefix)
+            if values is None:
+                tail = minimal[level + 1:]
+                values = []
+                for value in levels[level]:
+                    if footprint(*prefix, value, *tail) > capacity:
+                        break
+                    values.append(value)
+                viable_cache[prefix] = values
+            return values
 
         stats = mcts_search(
             levels,
@@ -375,7 +330,7 @@ class TileSeek:
             iterations=self.iterations,
             seed=self.seed,
             exploration=self.exploration,
-            prune=prune,
+            viable=viable,
             budget=unit_budget,
         )
         best_assignment = stats.best_assignment
@@ -390,14 +345,11 @@ class TileSeek:
         # predictions = ``learned``); they are deterministic, never
         # budget-charged, and feasible by construction/validation.
         anchor_p = max(
-            (p for p in grid["p"] if not prune(
-                (min(grid["b"]), min(grid["d"]), min(grid["m1"]), p)
-            )),
-            default=min(grid["p"]),
+            viable((minimal[0], minimal[1], minimal[2]), 3),
+            default=minimal[3],
         )
         incumbent = (
-            min(grid["b"]), min(grid["d"]), min(grid["m1"]),
-            anchor_p, min(grid["s"]),
+            minimal[0], minimal[1], minimal[2], anchor_p, minimal[4],
         )
         winner_index = -1  # the MCTS incumbent
         fresh = 0  # incumbents priced by a real evaluator call
@@ -419,7 +371,7 @@ class TileSeek:
             provenance = fallback_provenance(classify_rung(
                 winner_index,
                 n_warm=len(warm),
-                anchor_is_minimal=anchor_p == min(grid["p"]),
+                anchor_is_minimal=anchor_p == minimal[3],
                 n_learned=len(predicted),
             ))
             if not allow_fallback:
@@ -430,186 +382,6 @@ class TileSeek:
                 )
         # The winner was priced through the cache -- reuse its
         # assessment instead of re-running the simulation step.
-        assessment = cache[best_assignment][1]
-        config = self._config_from(best_assignment, fixed)
-        return TileSeekResult(
-            config=config,
-            assessment=assessment,
-            stats=MCTSStats(
-                iterations=stats.iterations,
-                evaluations=stats.evaluations + fresh,
-                best_reward=best_reward,
-                best_assignment=best_assignment,
-                tree_nodes=stats.tree_nodes,
-                dead_ends=stats.dead_ends,
-                exhausted=stats.exhausted,
-            ),
-            provenance=provenance,
-        )
-
-    def _search_batched(
-        self,
-        workload: Workload,
-        arch: ArchitectureSpec,
-        warm_start: Sequence[Sequence[int]] = (),
-        budget: Optional[int] = None,
-        allow_fallback: Optional[bool] = None,
-        learned: Sequence[Sequence[int]] = (),
-    ) -> TileSeekResult:
-        """The production evaluation path (the default).
-
-        Mirrors :meth:`search_scalar` decision for decision -- same
-        grid, RNG trajectory, budget charging, caching and provenance
-        -- but drives the frontier-batched MCTS: rollout frontiers are
-        priced in one call each, and the feasibility prune runs once
-        per unique prefix over a whole candidate level, with the
-        Table-2 constants hoisted and an early exit at the first
-        overflowing value.  Every candidate is priced by
-        :func:`assess_tiling` itself, so results are the scalar
-        oracle's bits by construction.
-        """
-        grid = self.candidate_grid(workload, arch)
-        fixed = self.fixed_factors(arch)
-        levels = [grid[name] for name in FACTOR_ORDER]
-        warm = self._validated_assignments(warm_start)
-        predicted = self._validated_assignments(learned)
-        if allow_fallback is None:
-            from repro.resilience.budget import fallback_enabled
-
-            allow_fallback = fallback_enabled()
-        limit = resolve_budget(budget)
-        unit_budget = Budget(limit) if limit is not None else None
-        minimal = self._minimal_point(grid)
-        minimal_cfg = self._config_from(minimal, fixed)
-        # Lazy imports: same cycle constraints as the scalar path.
-        from repro.resilience.diagnostics import diagnose_infeasible
-
-        diagnosis = diagnose_infeasible(
-            workload.model,
-            arch.buffer_words,
-            m0=fixed["m0"],
-            rows=fixed["rows"],
-            cfg=minimal_cfg,
-        )
-        if diagnosis is not None:
-            from repro.runner.errors import InfeasiblePoint
-
-            raise InfeasiblePoint(
-                f"{workload.describe()} on {arch.name}",
-                diagnosis.as_dict(),
-            )
-        reference_assessment = assess_tiling(
-            minimal_cfg, workload, arch
-        )
-        reference = reference_assessment.dram_words
-        cache: Dict[
-            Tuple[int, ...], Tuple[float, TilingAssessment]
-        ] = {
-            minimal: (
-                reward_for(
-                    reference_assessment, reference,
-                    self.reward_metric,
-                ),
-                reference_assessment,
-            )
-        }
-
-        def evaluate_batch(
-            assignments: Sequence[Tuple[int, ...]],
-        ) -> List[float]:
-            # Equivalent to calling the scalar ``evaluate`` closure
-            # sequentially: duplicates within a batch hit the first
-            # occurrence's cached entry.
-            for assignment in assignments:
-                if assignment not in cache:
-                    cfg = self._config_from(assignment, fixed)
-                    assessment = assess_tiling(cfg, workload, arch)
-                    cache[assignment] = (
-                        reward_for(
-                            assessment, reference,
-                            self.reward_metric,
-                        ),
-                        assessment,
-                    )
-            return [cache[a][0] for a in assignments]
-
-        # The minimal-completion prune, once per unique prefix over
-        # the whole candidate level.  Levels ascend and Table 2 is
-        # monotone in every factor, so the first overflowing value
-        # ends the walk: every larger value overflows too, and the
-        # kept values are exactly those the scalar prune keeps.
-        footprint = table2_footprint(
-            workload.model, fixed["m0"], fixed["rows"]
-        )
-        capacity = arch.buffer_words
-        viable_cache: Dict[Tuple[int, ...], List[int]] = {}
-
-        def viable(
-            prefix: Tuple[int, ...], level: int
-        ) -> List[int]:
-            values = viable_cache.get(prefix)
-            if values is None:
-                tail = minimal[level + 1:]
-                values = []
-                for value in levels[level]:
-                    if footprint(*prefix, value, *tail) > capacity:
-                        break
-                    values.append(value)
-                viable_cache[prefix] = values
-            return values
-
-        stats = mcts_search_batched(
-            levels,
-            evaluate_batch,
-            iterations=self.iterations,
-            seed=self.seed,
-            exploration=self.exploration,
-            viable=viable,
-            budget=unit_budget,
-        )
-        best_assignment = stats.best_assignment
-        best_reward = stats.best_reward
-        # Greedy incumbent pool (anchor line + warm starts), priced
-        # in one call; the fold mirrors the scalar loop in order.
-        anchor_p = max(
-            viable((minimal[0], minimal[1], minimal[2]), 3),
-            default=minimal[3],
-        )
-        incumbent = (
-            minimal[0], minimal[1], minimal[2], anchor_p, minimal[4],
-        )
-        pool = (incumbent,) + warm + predicted
-        fresh = 0  # incumbents priced by a real evaluator call
-        seen = set()
-        for candidate in pool:
-            if candidate not in cache and candidate not in seen:
-                seen.add(candidate)
-                fresh += 1
-        pool_rewards = evaluate_batch(pool)
-        winner_index = -1  # the MCTS incumbent
-        for index, candidate in enumerate(pool):
-            candidate_reward = pool_rewards[index]
-            if candidate_reward > best_reward:
-                best_assignment = candidate
-                best_reward = candidate_reward
-                winner_index = index
-        if not stats.exhausted:
-            provenance = PROVENANCE_COMPLETE
-        elif winner_index < 0:
-            provenance = PROVENANCE_BUDGET_EXHAUSTED
-        else:
-            provenance = fallback_provenance(classify_rung(
-                winner_index,
-                n_warm=len(warm),
-                anchor_is_minimal=anchor_p == minimal[3],
-                n_learned=len(predicted),
-            ))
-            if not allow_fallback:
-                raise RuntimeError(
-                    f"search for {workload.describe()} on "
-                    f"{arch.name} degraded to {provenance} and "
-                    f"fallback is disabled (REPRO_NO_FALLBACK)"
-                )
         assessment = cache[best_assignment][1]
         config = self._config_from(best_assignment, fixed)
         return TileSeekResult(

@@ -1,0 +1,381 @@
+"""The original scalar TileSeek search, kept verbatim.
+
+The differential reference for the production search
+(:meth:`repro.tileseek.search.TileSeek.search` driving
+:func:`repro.tileseek.mcts.mcts_search`): one candidate at a time
+through :func:`assess_tiling`, a per-candidate ``prune`` predicate
+instead of the per-prefix ``viable`` oracle, and no early exit.  The
+property suite, the CI oracle steps and
+``benchmarks/bench_framework_perf.py`` assert the production path
+returns identical :class:`TileSeekResult` bytes and
+:class:`MCTSStats`.  No production path imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.arch.spec import ArchitectureSpec
+from repro.model.workload import Workload
+from repro.resilience.budget import (
+    PROVENANCE_BUDGET_EXHAUSTED,
+    PROVENANCE_COMPLETE,
+    Budget,
+    fallback_provenance,
+    resolve_budget,
+)
+from repro.resilience.ladder import classify_rung
+from repro.tileseek.buffer_model import fused_buffer_requirement
+from repro.tileseek.evaluate import (
+    TilingAssessment,
+    assess_tiling,
+    reward_for,
+)
+from repro.tileseek.mcts import MCTSStats
+from repro.tileseek.search import FACTOR_ORDER, TileSeekResult
+
+Assignment = Tuple[int, ...]
+Evaluate = Callable[[Assignment], float]
+Prune = Callable[[Assignment], bool]
+
+
+@dataclass
+class _Node:
+    """One search-tree node: a partial assignment prefix."""
+
+    prefix: Assignment
+    untried: List[int]
+    children: Dict[int, "_Node"] = field(default_factory=dict)
+    visits: int = 0
+    total_reward: float = 0.0
+
+    @property
+    def mean_reward(self) -> float:
+        return self.total_reward / self.visits if self.visits else 0.0
+
+    def ucb_score(self, child: "_Node", c: float) -> float:
+        """UCB1: exploitation plus exploration bonus."""
+        if child.visits == 0:
+            return float("inf")
+        explore = math.sqrt(math.log(self.visits) / child.visits)
+        return child.mean_reward + c * explore
+
+
+def mcts_search(
+    levels: Sequence[Sequence[int]],
+    evaluate: Evaluate,
+    iterations: int,
+    seed: int = 0,
+    exploration: float = 1.4,
+    prune: Optional[Prune] = None,
+    budget: Optional[Budget] = None,
+) -> MCTSStats:
+    """Run MCTS over a fixed-depth decision tree.
+
+    Args:
+        levels: Candidate values per decision level, in order.
+        evaluate: Scores a *complete* assignment; 0 marks invalid.
+        iterations: Selection/expansion/simulation/backprop rounds.
+        seed: RNG seed (search is fully deterministic given it).
+        exploration: UCB1 exploration constant.
+        prune: Optional predicate on *partial* assignments; True means
+            no completion can be feasible, so the child is never
+            expanded.  A prefix under which *every* candidate at some
+            level is pruned makes the iteration a dead-end: zero
+            reward is backpropagated and the evaluator is not called.
+        budget: Optional deterministic unit budget, charged one unit
+            per iteration; exhaustion ends the search with its
+            best-so-far result.
+
+    Returns:
+        Search statistics including the best complete assignment seen.
+    """
+    if iterations <= 0:
+        raise ValueError("iterations must be positive")
+    if any(len(values) == 0 for values in levels):
+        raise ValueError("every level needs at least one candidate")
+    rng = random.Random(seed)
+    depth = len(levels)
+
+    def viable_values(prefix: Assignment, level: int) -> List[int]:
+        values = list(levels[level])
+        if prune is not None:
+            values = [v for v in values if not prune(prefix + (v,))]
+        return values
+
+    root = _Node(prefix=(), untried=viable_values((), 0))
+    best_reward = -1.0
+    best_assignment: Assignment = tuple(
+        values[0] for values in levels
+    )
+    evaluations = 0
+    dead_ends = 0
+    node_count = 1
+    performed = 0
+    exhausted = False
+
+    for _ in range(iterations):
+        if budget is not None and not budget.charge():
+            exhausted = True
+            break
+        performed += 1
+        # Selection: descend while fully expanded and not a leaf.
+        node = root
+        path = [node]
+        while (
+            not node.untried
+            and node.children
+            and len(node.prefix) < depth
+        ):
+            node = max(
+                node.children.values(),
+                key=lambda ch: path[-1].ucb_score(ch, exploration),
+            )
+            path.append(node)
+        # Expansion: materialize one untried child.
+        if node.untried and len(node.prefix) < depth:
+            value = node.untried.pop(
+                rng.randrange(len(node.untried))
+            )
+            level = len(node.prefix) + 1
+            child = _Node(
+                prefix=node.prefix + (value,),
+                untried=(
+                    viable_values(node.prefix + (value,), level)
+                    if level < depth
+                    else []
+                ),
+            )
+            node.children[value] = child
+            node = child
+            path.append(node)
+            node_count += 1
+        # Simulation: random rollout to a full assignment.  A level
+        # with zero viable candidates is a dead-end: every completion
+        # is provably infeasible, so back up zero reward and move on
+        # rather than burning an evaluation on it.
+        assignment = list(node.prefix)
+        reward = 0.0
+        dead_end = False
+        for level in range(len(assignment), depth):
+            choices = viable_values(tuple(assignment), level)
+            if not choices:
+                dead_end = True
+                break
+            assignment.append(rng.choice(choices))
+        if dead_end:
+            dead_ends += 1
+        else:
+            reward = evaluate(tuple(assignment))
+            evaluations += 1
+            if reward > best_reward:
+                best_reward = reward
+                best_assignment = tuple(assignment)
+        # Backpropagation.
+        for visited in path:
+            visited.visits += 1
+            visited.total_reward += reward
+
+    return MCTSStats(
+        iterations=performed,
+        evaluations=evaluations,
+        best_reward=best_reward,
+        best_assignment=best_assignment,
+        tree_nodes=node_count,
+        dead_ends=dead_ends,
+        exhausted=exhausted,
+    )
+
+
+def search_scalar(
+    self,
+    workload: Workload,
+    arch: ArchitectureSpec,
+    warm_start: Sequence[Sequence[int]] = (),
+    budget: Optional[int] = None,
+    allow_fallback: Optional[bool] = None,
+    learned: Sequence[Sequence[int]] = (),
+) -> TileSeekResult:
+    """The scalar evaluation path (the differential oracle).
+
+    One candidate at a time through :func:`assess_tiling` and the
+    per-candidate prune -- the original implementation, retained
+    verbatim so :meth:`TileSeek.search` has a bit-for-bit reference.
+    ``self`` is the :class:`TileSeek` whose grid, seed and iteration
+    count are searched, so the function can be called as
+    ``search_scalar(searcher, ...)`` or installed in place of
+    ``TileSeek.search``.  See :meth:`TileSeek.search` for the
+    contract.
+    """
+    grid = self.candidate_grid(workload, arch)
+    fixed = self.fixed_factors(arch)
+    levels = [grid[name] for name in FACTOR_ORDER]
+    warm = self._validated_assignments(warm_start)
+    predicted = self._validated_assignments(learned)
+    if allow_fallback is None:
+        from repro.resilience.budget import fallback_enabled
+
+        allow_fallback = fallback_enabled()
+    limit = resolve_budget(budget)
+    unit_budget = Budget(limit) if limit is not None else None
+    # The minimal (most conservative) assignment doubles as the
+    # reward-normalization reference; seed the evaluation cache
+    # with its assessment so it is never priced twice.
+    minimal = self._minimal_point(grid)
+    minimal_cfg = self._config_from(minimal, fixed)
+    # If even the minimal tile overflows the buffer, monotonicity
+    # says nothing in the grid fits: diagnose instead of
+    # searching.  Imported lazily -- diagnostics imports the
+    # buffer model from this package, so a module-level import
+    # would cycle through ``repro.resilience.__init__``.
+    from repro.resilience.diagnostics import diagnose_infeasible
+
+    diagnosis = diagnose_infeasible(
+        workload.model,
+        arch.buffer_words,
+        m0=fixed["m0"],
+        rows=fixed["rows"],
+        cfg=minimal_cfg,
+    )
+    if diagnosis is not None:
+        # Imported lazily: the taxonomy lives in the runner layer,
+        # which imports back into tileseek via serialization.
+        from repro.runner.errors import InfeasiblePoint
+
+        raise InfeasiblePoint(
+            f"{workload.describe()} on {arch.name}",
+            diagnosis.as_dict(),
+        )
+    reference_assessment = assess_tiling(
+        minimal_cfg, workload, arch
+    )
+    reference = reference_assessment.dram_words
+    cache: Dict[
+        Tuple[int, ...], Tuple[float, TilingAssessment]
+    ] = {
+        minimal: (
+            reward_for(
+                reference_assessment, reference,
+                self.reward_metric,
+            ),
+            reference_assessment,
+        )
+    }
+
+    def evaluate(assignment: Tuple[int, ...]) -> float:
+        entry = cache.get(assignment)
+        if entry is None:
+            cfg = self._config_from(assignment, fixed)
+            assessment = assess_tiling(cfg, workload, arch)
+            entry = (
+                reward_for(
+                    assessment, reference, self.reward_metric
+                ),
+                assessment,
+            )
+            cache[assignment] = entry
+        return entry[0]
+
+    # Rollouts revisit the same prefixes constantly; the Table-2
+    # completion check is pure, so memoize it per prefix.
+    prune_cache: Dict[Tuple[int, ...], bool] = {}
+
+    def prune(partial: Tuple[int, ...]) -> bool:
+        # Lower-bound feasibility: complete the prefix with the
+        # smallest remaining candidates; if even that overflows
+        # the buffer, no completion is feasible (the Table-2
+        # formulas are monotone in every factor).
+        infeasible = prune_cache.get(partial)
+        if infeasible is None:
+            full = list(partial) + [
+                min(grid[name])
+                for name in FACTOR_ORDER[len(partial):]
+            ]
+            cfg = self._config_from(full, fixed)
+            required = fused_buffer_requirement(
+                cfg, workload.model
+            )
+            infeasible = required > arch.buffer_words
+            prune_cache[partial] = infeasible
+        return infeasible
+
+    stats = mcts_search(
+        levels,
+        evaluate,
+        iterations=self.iterations,
+        seed=self.seed,
+        exploration=self.exploration,
+        prune=prune,
+        budget=unit_budget,
+    )
+    best_assignment = stats.best_assignment
+    best_reward = stats.best_reward
+    # Greedy incumbent: the anchor line (maximal feasible p with
+    # minimal companions) is a strong known-good starting point;
+    # never return anything worse than it.  Warm starts from
+    # adjacent searches and learned predictions join the same
+    # incumbent pool.  When a budget cut the MCTS short, these
+    # candidates double as the degradation ladder (anchor =
+    # ``heuristic`` rung, warm starts = ``warm_start``,
+    # predictions = ``learned``); they are deterministic, never
+    # budget-charged, and feasible by construction/validation.
+    anchor_p = max(
+        (p for p in grid["p"] if not prune(
+            (min(grid["b"]), min(grid["d"]), min(grid["m1"]), p)
+        )),
+        default=min(grid["p"]),
+    )
+    incumbent = (
+        min(grid["b"]), min(grid["d"]), min(grid["m1"]),
+        anchor_p, min(grid["s"]),
+    )
+    winner_index = -1  # the MCTS incumbent
+    fresh = 0  # incumbents priced by a real evaluator call
+    for index, candidate in enumerate(
+        (incumbent,) + warm + predicted
+    ):
+        if candidate not in cache:
+            fresh += 1
+        candidate_reward = evaluate(candidate)
+        if candidate_reward > best_reward:
+            best_assignment = candidate
+            best_reward = candidate_reward
+            winner_index = index
+    if not stats.exhausted:
+        provenance = PROVENANCE_COMPLETE
+    elif winner_index < 0:
+        provenance = PROVENANCE_BUDGET_EXHAUSTED
+    else:
+        provenance = fallback_provenance(classify_rung(
+            winner_index,
+            n_warm=len(warm),
+            anchor_is_minimal=anchor_p == min(grid["p"]),
+            n_learned=len(predicted),
+        ))
+        if not allow_fallback:
+            raise RuntimeError(
+                f"search for {workload.describe()} on "
+                f"{arch.name} degraded to {provenance} and "
+                f"fallback is disabled (REPRO_NO_FALLBACK)"
+            )
+    # The winner was priced through the cache -- reuse its
+    # assessment instead of re-running the simulation step.
+    assessment = cache[best_assignment][1]
+    config = self._config_from(best_assignment, fixed)
+    return TileSeekResult(
+        config=config,
+        assessment=assessment,
+        stats=MCTSStats(
+            iterations=stats.iterations,
+            evaluations=stats.evaluations + fresh,
+            best_reward=best_reward,
+            best_assignment=best_assignment,
+            tree_nodes=stats.tree_nodes,
+            dead_ends=stats.dead_ends,
+            exhausted=stats.exhausted,
+        ),
+        provenance=provenance,
+    )

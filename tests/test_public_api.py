@@ -74,6 +74,8 @@ MODULES = [
     "repro.serve.protocol",
     "repro.serve.transport",
     "repro.tileseek.baseline_search",
+    "repro.tileseek.mcts",
+    "repro.tileseek.search",
 ]
 
 

@@ -8,6 +8,9 @@ variable, opt-out boolean flags) so the consolidation cannot drift.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.runner.errors import SweepConfigError
@@ -22,6 +25,11 @@ from repro.settings import (
 )
 
 VAR = "REPRO_TEST_SETTING"
+
+#: The knob literal ``scripts/plan_census.py`` counts.
+KNOB = re.compile(r'"(REPRO_[A-Z0-9_]+)"')
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 class TestRawValue:
@@ -113,6 +121,14 @@ class TestRegistry:
                      "REPRO_NO_FALLBACK", "REPRO_JOBS",
                      "REPRO_CACHE", "REPRO_VALIDATE"):
             assert name in KNOWN_SETTINGS
+
+    def test_registry_matches_the_knobs_in_the_code(self):
+        """A knob read in ``src/repro`` but missing from the registry,
+        or registered but read nowhere, fails here."""
+        literals = set()
+        for path in PACKAGE.rglob("*.py"):
+            literals.update(KNOB.findall(path.read_text()))
+        assert set(KNOWN_SETTINGS) == literals
 
 
 class TestConsumersUseTypedErrors:

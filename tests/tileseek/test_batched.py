@@ -1,12 +1,14 @@
-"""Seeded property tests: the batched evaluation path against the
-scalar differential oracle.
+"""Seeded property tests: the production search against the scalar
+differential oracle, and the NumPy kernel against the scalar
+formulas.
 
 The contract under test is *byte-identity*, not tolerance-based
 closeness: integer quantities (buffer words, pass counts) must be
 exactly equal, float quantities (traffic, energy, rewards) must be
 bitwise-reproducible, and a full search must serialize to the same
-JSON document on either path, for any seed, budget, warm start or
-``--jobs`` fan-out.
+JSON document as the oracle's (``tests/oracles/tileseek_scalar.py``),
+for any seed, budget, warm start or ``--jobs`` fan-out.  The NumPy
+kernel and batched diagnosis live in ``tests/oracles/tileseek_numpy.py``.
 """
 
 import json
@@ -23,18 +25,9 @@ from repro.core.serialize import (
 from repro.model.config import named_model
 from repro.model.workload import Workload
 from repro.resilience.budget import Budget
-from repro.resilience.diagnostics import (
-    diagnose_infeasible,
-    diagnose_infeasible_batch,
-)
+from repro.resilience.diagnostics import diagnose_infeasible
 from repro.runner.chain import GridPoint
 from repro.runner.parallel import run_grid
-from repro.tileseek.batched import (
-    EXACT_FLOAT_LIMIT,
-    BatchedTilingEvaluator,
-    exactly_priceable,
-    table2_module_words,
-)
 from repro.tileseek.buffer_model import (
     FUSED_MODULES,
     TilingConfig,
@@ -43,8 +36,17 @@ from repro.tileseek.buffer_model import (
     layer_buffer_requirement,
 )
 from repro.tileseek.evaluate import assess_tiling, reward_for
-from repro.tileseek.mcts import mcts_search, mcts_search_batched
+from repro.tileseek.mcts import mcts_search
 from repro.tileseek.search import FACTOR_ORDER, TileSeek
+from tests.oracles import tileseek_scalar
+from tests.oracles.tileseek_numpy import (
+    EXACT_FLOAT_LIMIT,
+    BatchedTilingEvaluator,
+    diagnose_infeasible_batch,
+    exactly_priceable,
+    table2_module_words,
+)
+from tests.oracles.tileseek_scalar import search_scalar
 
 MODELS = ("llama3", "t5", "bert", "llama3-gqa")
 
@@ -234,41 +236,32 @@ class TestAssessmentEquivalence:
 
 
 class TestMCTSEquivalence:
-    """The frontier-batched driver equals the scalar driver stat for
+    """The production driver equals the scalar oracle driver stat for
     stat on synthetic trees: prunes, dead-ends, budgets, any seed."""
 
     @staticmethod
-    def _drivers(levels, prune=None):
-        def evaluate(assignment):
-            return 1.0 / (1.0 + sum(assignment))
+    def _evaluate(assignment):
+        return 1.0 / (1.0 + sum(assignment))
 
-        def evaluate_batch(assignments):
-            return [evaluate(a) for a in assignments]
-
+    @staticmethod
+    def _viable(levels, prune):
         def viable(prefix, level):
-            values = list(levels[level])
-            if prune is not None:
-                values = [
-                    v for v in values if not prune(prefix + (v,))
-                ]
-            return values
+            return [
+                v for v in levels[level] if not prune(prefix + (v,))
+            ]
 
-        return evaluate, evaluate_batch, (
-            viable if prune is not None else None
-        )
+        return viable
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stats_equal_across_seeds(self, seed):
         levels = [[1, 2, 3], [1, 2], [1, 2, 3, 4]]
-        evaluate, evaluate_batch, viable = self._drivers(levels)
-        scalar = mcts_search(
-            levels, evaluate, iterations=64, seed=seed
+        oracle = tileseek_scalar.mcts_search(
+            levels, self._evaluate, iterations=64, seed=seed
         )
-        batched = mcts_search_batched(
-            levels, evaluate_batch, iterations=64, seed=seed,
-            viable=viable,
+        product = mcts_search(
+            levels, self._evaluate, iterations=64, seed=seed
         )
-        assert scalar == batched
+        assert oracle == product
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dead_ends_equal(self, seed):
@@ -278,49 +271,42 @@ class TestMCTSEquivalence:
             # Every completion under first value 2 is infeasible.
             return len(partial) == 2 and partial[0] == 2
 
-        evaluate, evaluate_batch, viable = self._drivers(
-            levels, prune
+        oracle = tileseek_scalar.mcts_search(
+            levels, self._evaluate, iterations=32, seed=seed,
+            prune=prune,
         )
-        scalar = mcts_search(
-            levels, evaluate, iterations=32, seed=seed, prune=prune
+        product = mcts_search(
+            levels, self._evaluate, iterations=32, seed=seed,
+            viable=self._viable(levels, prune),
         )
-        batched = mcts_search_batched(
-            levels, evaluate_batch, iterations=32, seed=seed,
-            viable=viable,
-        )
-        assert scalar.dead_ends > 0
-        assert scalar == batched
+        assert oracle.dead_ends > 0
+        assert oracle == product
 
     @pytest.mark.parametrize("limit", [1, 3, 7, 100])
     def test_budget_exhaustion_equal(self, limit):
         levels = [[1, 2, 3], [1, 2, 3]]
-        evaluate, evaluate_batch, viable = self._drivers(levels)
-        scalar = mcts_search(
-            levels, evaluate, iterations=50, seed=2,
+        oracle = tileseek_scalar.mcts_search(
+            levels, self._evaluate, iterations=50, seed=2,
             budget=Budget(limit),
         )
-        batched = mcts_search_batched(
-            levels, evaluate_batch, iterations=50, seed=2,
+        product = mcts_search(
+            levels, self._evaluate, iterations=50, seed=2,
             budget=Budget(limit),
         )
-        assert scalar == batched
-        assert scalar.exhausted == (limit < 50)
+        assert oracle == product
+        assert oracle.exhausted == (limit < 50)
 
     def test_validation_errors_match(self):
-        def evaluate_batch(assignments):
-            return [0.0 for _ in assignments]
-
-        with pytest.raises(ValueError):
-            mcts_search_batched([[1]], evaluate_batch, iterations=0)
-        with pytest.raises(ValueError):
-            mcts_search_batched(
-                [[1], []], evaluate_batch, iterations=4
-            )
+        for driver in (tileseek_scalar.mcts_search, mcts_search):
+            with pytest.raises(ValueError, match="positive"):
+                driver([[1]], self._evaluate, iterations=0)
+            with pytest.raises(ValueError, match="at least one"):
+                driver([[1], []], self._evaluate, iterations=4)
 
 
 class TestFullSearchIdentity:
-    """End-to-end: ``TileSeekResult`` serializes identically on both
-    paths across workloads, seeds, budgets and warm starts."""
+    """End-to-end: ``TileSeekResult`` serializes identically to the
+    oracle's across workloads, seeds, budgets and warm starts."""
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("seed", [0, 3])
@@ -333,14 +319,14 @@ class TestFullSearchIdentity:
                 )
                 for budget in (None, 16):
                     searcher = TileSeek(iterations=120, seed=seed)
-                    scalar = searcher.search(
-                        workload, arch, budget=budget, scalar=True
+                    oracle = search_scalar(
+                        searcher, workload, arch, budget=budget
                     )
-                    batched = searcher.search(
-                        workload, arch, budget=budget, scalar=False
+                    product = searcher.search(
+                        workload, arch, budget=budget
                     )
-                    assert result_bytes(scalar) == result_bytes(
-                        batched
+                    assert result_bytes(oracle) == result_bytes(
+                        product
                     )
 
     def test_warm_start_and_provenance_identity(self, cloud):
@@ -360,18 +346,15 @@ class TestFullSearchIdentity:
         for warm in warm_sets:
             for budget in (None, 1, 16):
                 searcher = TileSeek(iterations=100, seed=4)
-                scalar = searcher.search(
-                    workload, cloud, warm_start=warm,
-                    budget=budget, scalar=True,
+                oracle = search_scalar(
+                    searcher, workload, cloud, warm_start=warm,
+                    budget=budget,
                 )
-                batched = searcher.search(
-                    workload, cloud, warm_start=warm,
-                    budget=budget, scalar=False,
+                product = searcher.search(
+                    workload, cloud, warm_start=warm, budget=budget,
                 )
-                assert result_bytes(scalar) == result_bytes(
-                    batched
-                )
-                provenances.add(batched.provenance)
+                assert result_bytes(oracle) == result_bytes(product)
+                provenances.add(product.provenance)
         # The grid exercised the full provenance taxonomy.
         assert "complete" in provenances
         assert any(
@@ -382,52 +365,18 @@ class TestFullSearchIdentity:
         self, cloud
     ):
         """Warm factors beyond exact-float range must not corrupt
-        results -- they are priced by the scalar evaluator row-wise.
+        results -- they are priced by the scalar evaluator.
         """
         workload = Workload(
             named_model("llama3"), seq_len=16384, batch=8
         )
         huge = (1 << 55, 16, 1, 1 << 55, 16)
         searcher = TileSeek(iterations=60, seed=1)
-        scalar = searcher.search(
-            workload, cloud, warm_start=(huge,), scalar=True
+        oracle = search_scalar(
+            searcher, workload, cloud, warm_start=(huge,)
         )
-        batched = searcher.search(
-            workload, cloud, warm_start=(huge,), scalar=False
-        )
-        assert result_bytes(scalar) == result_bytes(batched)
-
-    def test_env_flag_selects_scalar_oracle(
-        self, cloud, monkeypatch
-    ):
-        """``REPRO_SCALAR_EVAL=1`` must route ``search()`` through
-        the scalar driver (and stay byte-identical)."""
-        import repro.tileseek.search as search_module
-
-        workload = Workload(
-            named_model("t5"), seq_len=4096, batch=8
-        )
-        batched_calls = [0]
-        real = search_module.mcts_search_batched
-
-        def counting(*args, **kwargs):
-            batched_calls[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(
-            search_module, "mcts_search_batched", counting
-        )
-        monkeypatch.setenv("REPRO_SCALAR_EVAL", "1")
-        forced = TileSeek(iterations=60, seed=0).search(
-            workload, cloud
-        )
-        assert batched_calls[0] == 0
-        monkeypatch.delenv("REPRO_SCALAR_EVAL")
-        default = TileSeek(iterations=60, seed=0).search(
-            workload, cloud
-        )
-        assert batched_calls[0] == 1
-        assert result_bytes(forced) == result_bytes(default)
+        product = searcher.search(workload, cloud, warm_start=(huge,))
+        assert result_bytes(oracle) == result_bytes(product)
 
 
 class TestDiagnosticsBatch:
@@ -481,7 +430,8 @@ class TestDiagnosticsBatch:
 
 class TestSweepIdentity:
     """Whole-pipeline identity: reports are byte-identical across
-    ``--jobs`` fan-outs and across the scalar/batched paths."""
+    ``--jobs`` fan-outs and with the oracle in place of
+    ``TileSeek.search``."""
 
     @staticmethod
     def _points():
@@ -501,6 +451,8 @@ class TestSweepIdentity:
     def test_jobs_and_eval_path_identity(
         self, tmp_path, monkeypatch
     ):
+        import repro.core.executor as executor_module
+
         points = self._points()
         serial = run_grid(
             points, jobs=1, cache_dir=tmp_path / "a",
@@ -510,11 +462,23 @@ class TestSweepIdentity:
             points, jobs=2, cache_dir=tmp_path / "b",
             use_cache=False,
         )
-        monkeypatch.setenv("REPRO_SCALAR_EVAL", "1")
+        # Forked workers inherit the patched method.  Each search
+        # leaves a line in ``calls``, and an empty in-process tiling
+        # memo keeps the workers from serving the serial run's
+        # results instead of searching.
+        calls = tmp_path / "oracle-calls"
+
+        def oracle(searcher, *args, **kwargs):
+            with open(calls, "a") as handle:
+                handle.write("search\n")
+            return search_scalar(searcher, *args, **kwargs)
+
+        monkeypatch.setattr(TileSeek, "search", oracle)
+        monkeypatch.setattr(executor_module, "_TILING_CACHE", {})
         scalar = run_grid(
             points, jobs=2, cache_dir=tmp_path / "c",
             use_cache=False,
         )
-        monkeypatch.delenv("REPRO_SCALAR_EVAL")
+        assert len(calls.read_text().splitlines()) >= len(points)
         assert self._rendered(serial) == self._rendered(parallel)
         assert self._rendered(serial) == self._rendered(scalar)

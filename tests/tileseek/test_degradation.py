@@ -32,9 +32,9 @@ class TestMCTSDeadEnds:
     infeasible completions)."""
 
     @staticmethod
-    def _prune(partial):
+    def _viable(prefix, level):
         # Every completion under first value 2 is infeasible.
-        return len(partial) == 2 and partial[0] == 2
+        return [] if level == 1 and prefix[0] == 2 else [1, 2]
 
     def test_dead_end_recorded_and_never_evaluated(self):
         seen = []
@@ -45,7 +45,7 @@ class TestMCTSDeadEnds:
 
         stats = mcts_search(
             [[1, 2], [1, 2]], evaluate, iterations=32, seed=5,
-            prune=self._prune,
+            viable=self._viable,
         )
         assert stats.dead_ends > 0
         assert all(a[0] == 1 for a in seen), (
@@ -61,7 +61,7 @@ class TestMCTSDeadEnds:
         runs = [
             mcts_search(
                 [[1, 2], [1, 2]], evaluate, iterations=32, seed=5,
-                prune=self._prune,
+                viable=self._viable,
             )
             for _ in range(2)
         ]

@@ -43,12 +43,12 @@ class TestMCTSBasics:
             seen.append(assignment)
             return float(sum(assignment))
 
-        def prune(partial):
+        def viable(prefix, level):
             # Forbid choosing 0 at the first level.
-            return len(partial) == 1 and partial[0] == 0
+            return [1] if level == 0 else levels[level]
 
         stats = mcts_search(
-            levels, evaluate, iterations=30, seed=1, prune=prune
+            levels, evaluate, iterations=30, seed=1, viable=viable
         )
         assert stats.best_assignment[0] == 1
         assert all(a[0] == 1 for a in seen)

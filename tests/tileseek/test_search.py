@@ -12,6 +12,8 @@ from repro.tileseek.baseline_search import (
 from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.evaluate import assess_tiling, reward_for
 from repro.tileseek.search import FACTOR_ORDER, TileSeek
+from tests.oracles import tileseek_scalar
+from tests.oracles.tileseek_scalar import search_scalar
 
 
 @pytest.fixture
@@ -208,17 +210,15 @@ class TestSearchEfficiency:
     ):
         """Rollouts revisit prefixes; each Table-2 completion check
         must run at most once per unique prefix (scalar oracle)."""
-        import repro.tileseek.search as search_module
-
         buffer_calls = [0]
-        real_requirement = search_module.fused_buffer_requirement
+        real_requirement = tileseek_scalar.fused_buffer_requirement
 
         def counting_requirement(config, model):
             buffer_calls[0] += 1
             return real_requirement(config, model)
 
         prune_calls = [0]
-        real_mcts = search_module.mcts_search
+        real_mcts = tileseek_scalar.mcts_search
 
         def wrapped_mcts(levels, evaluate, **kwargs):
             inner = kwargs["prune"]
@@ -231,15 +231,13 @@ class TestSearchEfficiency:
             return real_mcts(levels, evaluate, **kwargs)
 
         monkeypatch.setattr(
-            search_module, "fused_buffer_requirement",
+            tileseek_scalar, "fused_buffer_requirement",
             counting_requirement,
         )
         monkeypatch.setattr(
-            search_module, "mcts_search", wrapped_mcts
+            tileseek_scalar, "mcts_search", wrapped_mcts
         )
-        TileSeek(iterations=300, seed=0).search(
-            workload, cloud, scalar=True
-        )
+        search_scalar(TileSeek(iterations=300, seed=0), workload, cloud)
         assert prune_calls[0] > 0
         # Strictly fewer buffer evaluations than prune invocations:
         # repeats were served from the memo.
@@ -251,21 +249,17 @@ class TestSearchEfficiency:
         """The reference config and the winner are both priced
         exactly once -- no duplicated assess_tiling work (scalar
         oracle)."""
-        import repro.tileseek.search as search_module
-
         assessed = []
-        real_assess = search_module.assess_tiling
+        real_assess = tileseek_scalar.assess_tiling
 
         def recording_assess(config, wl, arch):
             assessed.append(config)
             return real_assess(config, wl, arch)
 
         monkeypatch.setattr(
-            search_module, "assess_tiling", recording_assess
+            tileseek_scalar, "assess_tiling", recording_assess
         )
-        TileSeek(iterations=200, seed=1).search(
-            workload, cloud, scalar=True
-        )
+        search_scalar(TileSeek(iterations=200, seed=1), workload, cloud)
         assert len(assessed) == len(set(assessed))
 
     def test_batched_prune_one_call_per_unique_prefix(
@@ -291,9 +285,9 @@ class TestSearchEfficiency:
         queries = []
         answers = {}
         during_search = [0]
-        real_mcts = search_module.mcts_search_batched
+        real_mcts = search_module.mcts_search
 
-        def wrapped_mcts(levels, evaluate_batch, **kwargs):
+        def wrapped_mcts(levels, evaluate, **kwargs):
             inner = kwargs["viable"]
 
             def recording_viable(prefix, level):
@@ -303,7 +297,7 @@ class TestSearchEfficiency:
                 return values
 
             kwargs["viable"] = recording_viable
-            stats = real_mcts(levels, evaluate_batch, **kwargs)
+            stats = real_mcts(levels, evaluate, **kwargs)
             during_search[0] = probes[0]
             return stats
 
@@ -311,7 +305,7 @@ class TestSearchEfficiency:
             search_module, "table2_footprint", counting_footprint
         )
         monkeypatch.setattr(
-            search_module, "mcts_search_batched", wrapped_mcts
+            search_module, "mcts_search", wrapped_mcts
         )
         TileSeek(iterations=300, seed=0).search(workload, cloud)
         assert len(queries) > len(answers) > 0
@@ -339,12 +333,11 @@ class TestSearchEfficiency:
             assessed.append(config)
             return real_assess(config, wl, arch)
 
-        monkeypatch.setattr(
-            search_module, "assess_tiling", recording_assess
-        )
-        TileSeek(iterations=200, seed=1).search(
-            workload, cloud, scalar=True
-        )
+        for module in (search_module, tileseek_scalar):
+            monkeypatch.setattr(
+                module, "assess_tiling", recording_assess
+            )
+        search_scalar(TileSeek(iterations=200, seed=1), workload, cloud)
         scalar_assessed = list(assessed)
         assert scalar_assessed
 
@@ -369,14 +362,14 @@ class TestEarlyExitPrune:
         import repro.tileseek.search as search_module
 
         captured = {}
-        real_mcts = search_module.mcts_search_batched
+        real_mcts = search_module.mcts_search
 
-        def capturing_mcts(levels, evaluate_batch, **kwargs):
+        def capturing_mcts(levels, evaluate, **kwargs):
             captured.update(levels=levels, viable=kwargs["viable"])
-            return real_mcts(levels, evaluate_batch, **kwargs)
+            return real_mcts(levels, evaluate, **kwargs)
 
         monkeypatch.setattr(
-            search_module, "mcts_search_batched", capturing_mcts
+            search_module, "mcts_search", capturing_mcts
         )
         checked = 0
         for arch_name in ("cloud", "edge", "edge32", "edge64"):
@@ -427,17 +420,21 @@ class TestEvaluationCounting:
     not inflate it (historically the incumbent/warm loop added
     ``1 + len(warm)`` unconditionally)."""
 
+    @staticmethod
+    def _search(scalar, *args, **kwargs):
+        searcher = TileSeek(iterations=100, seed=4)
+        if scalar:
+            return search_scalar(searcher, *args, **kwargs)
+        return searcher.search(*args, **kwargs)
+
     @pytest.mark.parametrize("scalar", [True, False])
     def test_cached_warm_start_adds_zero(
         self, workload, cloud, scalar
     ):
-        cold = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, scalar=scalar
-        )
-        warm = TileSeek(iterations=100, seed=4).search(
-            workload, cloud,
+        cold = self._search(scalar, workload, cloud)
+        warm = self._search(
+            scalar, workload, cloud,
             warm_start=(cold.stats.best_assignment,),
-            scalar=scalar,
         )
         # The MCTS already priced its own best assignment, so the
         # warm candidate is a cache hit: zero extra evaluations.
@@ -448,11 +445,10 @@ class TestEvaluationCounting:
         self, workload, cloud, scalar
     ):
         fresh = (1, 16, 1, 64, 16)
-        once = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, warm_start=(fresh,), scalar=scalar
+        once = self._search(
+            scalar, workload, cloud, warm_start=(fresh,)
         )
-        twice = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, warm_start=(fresh, fresh),
-            scalar=scalar,
+        twice = self._search(
+            scalar, workload, cloud, warm_start=(fresh, fresh)
         )
         assert twice.stats.evaluations == once.stats.evaluations
