@@ -413,3 +413,65 @@ def test_capped_cache_warm_speedup(benchmark, perf_log, tmp_path,
     assert ratio >= 10.0, (
         f"capped warm rerun only {ratio:.2f}x faster than cold"
     )
+
+
+def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
+    """Served-miss latency: in-process ``execute_request`` over seeded
+    fresh points, after one plan per (model, arch) has warmed the
+    in-process memos, against an empty disk cache -- the cost a
+    long-running server pays per cache miss.
+
+    Records the per-request p50; the ceiling only applies under
+    ``REPRO_BENCH_STRICT``.
+    """
+    from repro.model.config import MODEL_ZOO
+    from repro.serve.protocol import execute_request, parse_request
+    from repro.validate import force_validation
+
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    models = sorted(MODEL_ZOO)
+    archs = ("cloud", "edge", "edge32", "edge64")
+
+    def request(index, model, arch, seq, batch, causal):
+        return parse_request({
+            "op": "plan", "id": f"miss{index}",
+            "point": {
+                "model": model, "arch": arch, "seq_len": seq,
+                "batch": batch, "causal": causal,
+                "executor": "transfusion",
+            },
+        })
+
+    warm = {(model, arch, 1024, 4, False)
+            for model in models for arch in archs}
+    rng = random.Random(19)
+    fresh = []
+    while len(fresh) < 40:
+        point = (
+            rng.choice(models), rng.choice(archs),
+            rng.choice((512, 2048, 4096, 8192, 16384, 65536)),
+            rng.choice((1, 4, 16, 64)), rng.random() < 0.5,
+        )
+        if point not in warm and point not in fresh:
+            fresh.append(point)
+    samples = []
+    with force_validation(False):
+        for index, point in enumerate(sorted(warm)):
+            execute_request(request(index, *point))
+        for index, point in enumerate(fresh):
+            start = time.perf_counter()
+            response = execute_request(request(index, *point))
+            samples.append(time.perf_counter() - start)
+            assert response["ok"], response
+    samples.sort()
+    p50_ms = samples[len(samples) // 2] * 1e3
+    perf_log("plan_miss_speed", {
+        "plan_miss_ms_p50": p50_ms,
+        "plan_miss_ms_mean": sum(samples) / len(samples) * 1e3,
+        "points": len(samples),
+        "workload": "execute_request, transfusion, fresh seeded "
+                    "points after one plan per (model, arch)",
+    })
+    if STRICT:
+        assert p50_ms < 100.0

@@ -12,7 +12,7 @@ steady-state period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.arch.pe import PEArrayKind
 from repro.dpipe.latency import LatencyTable
@@ -117,6 +117,7 @@ def best_window_schedule_ex(
     table: LatencyTable,
     max_orders: int,
     units=None,
+    window: Optional[ComputationDAG] = None,
 ) -> Tuple[WindowSchedule, str]:
     """:func:`best_window_schedule` under an optional anytime unit
     budget (:class:`repro.resilience.budget.Budget`).
@@ -124,10 +125,13 @@ def best_window_schedule_ex(
     Returns the schedule plus its provenance (``complete`` /
     ``budget_exhausted`` / ``fallback:first_order``); the
     critical-path candidate order is always evaluated, budget or not.
+    ``window`` is ``build_window(dag, bipartition)`` when the caller
+    already holds it (the planner keeps one per bipartition).
     """
     from repro.dpipe.search import fused_best_order_ex
 
-    window = build_window(dag, bipartition)
+    if window is None:
+        window = build_window(dag, bipartition)
     order, result, provenance = fused_best_order_ex(
         window, table, max_orders, zero_latency={ROOT},
         extra_orders=(
@@ -147,9 +151,17 @@ def subgraph_makespan(
     table: LatencyTable,
 ) -> float:
     """DP makespan of one subgraph alone (pipeline fill/drain term)."""
+    order, preds = subgraph_order(dag, subset)
+    return dp_schedule(order, preds, table).makespan
+
+
+def subgraph_order(
+    dag: ComputationDAG, subset: FrozenSet[str]
+) -> Tuple[Tuple[str, ...], Dict[str, Set[str]]]:
+    """The latency-free DP inputs of :func:`subgraph_makespan`: the
+    induced subgraph's topological order and predecessor map."""
     sub = dag.induced(subset)
-    order = sub.topological_order()
-    return dp_schedule(order, sub.pred_map(), table).makespan
+    return sub.topological_order(), sub.pred_map()
 
 
 def cross_epoch_state_edges(cascade) -> List[Tuple[str, str]]:

@@ -13,7 +13,7 @@ an inner tile and an epoch count it
 The returned plan carries busy time and compute-load splits per PE
 array so executors can report utilization and energy.
 
-Two performance layers sit between the public API and the DP:
+Three performance layers sit between the public API and the DP:
 
 * **Fused search** -- every candidate-order evaluation goes through
   :func:`repro.dpipe.search.fused_best_order`, a branch-and-bound DFS
@@ -32,6 +32,12 @@ Two performance layers sit between the public API and the DP:
   search.  When validation is enabled the memo is bypassed and the
   kernel rebuilt with the schedule auditor armed, so ``repro
   validate`` always replays real DP passes.
+* **Per-cascade skeletons** -- the DAG, the paired window, each
+  bipartition's window DAG and fill/drain DP inputs, and the cascade's
+  fragment of the kernel key depend on the cascade alone, so they are
+  built once per cascade instance and shared by every tile; so is each
+  finished kernel hex key.  A kernel build does only tile-dependent
+  work: the latency table, the searches and the DPs.
 
 The original enumerate-then-score planner is kept verbatim, outside
 the package, as the differential reference (``tests/oracles/``); the
@@ -62,9 +68,10 @@ from repro.dpipe.pipeline import (
     best_window_schedule,
     best_window_schedule_ex,
     build_paired_window,
-    subgraph_makespan,
+    build_window,
+    subgraph_order,
 )
-from repro.dpipe.scheduler import ARRAYS
+from repro.dpipe.scheduler import ARRAYS, dp_schedule
 from repro.dpipe.search import fused_best_order_ex
 from repro.resilience.budget import (
     PROVENANCE_COMPLETE,
@@ -221,9 +228,79 @@ class _CascadeKernel:
 _KERNEL_CACHE: Dict[str, _CascadeKernel] = {}
 
 
+class _WindowSkeleton:
+    """One bipartition's latency-free structure: its window DAG and
+    the fill (``G1``) and drain (``G2``) subgraphs' DP inputs."""
+
+    __slots__ = ("bipartition", "window", "fill", "drain")
+
+    def __init__(
+        self, dag: ComputationDAG, bipartition: Bipartition
+    ) -> None:
+        self.bipartition = bipartition
+        self.window = build_window(dag, bipartition)
+        self.fill = subgraph_order(dag, bipartition.first)
+        self.drain = subgraph_order(dag, bipartition.second)
+
+
+class _Skeleton:
+    """Everything a kernel build needs that depends on the cascade
+    alone: its DAG, paired window, bipartition windows (per
+    ``max_bipartitions`` cap), the ``asdict(cascade)`` fragment of the
+    kernel key, and the memo of finished hex keys.  Tile, arch and
+    options only enter through the latency table and the key memo's
+    key, so a skeleton is shared by every plan of its cascade."""
+
+    __slots__ = ("cascade", "dag", "paired", "fragment", "keys",
+                 "_windows")
+
+    def __init__(self, cascade: Cascade) -> None:
+        self.cascade = cascade
+        self.dag = ComputationDAG.from_cascade(cascade)
+        self.paired = build_paired_window(self.dag, cascade)
+        self.fragment = dataclasses.asdict(cascade)
+        self.keys: Dict[Tuple[Any, ...], str] = {}
+        self._windows: Dict[int, Tuple[_WindowSkeleton, ...]] = {}
+
+    def windows(self, limit: int) -> Tuple[_WindowSkeleton, ...]:
+        """The first ``limit`` bipartitions' window skeletons."""
+        windows = self._windows.get(limit)
+        if windows is None:
+            windows = tuple(
+                _WindowSkeleton(self.dag, bipartition)
+                for bipartition in enumerate_bipartitions(
+                    self.dag, limit=limit
+                )
+            )
+            self._windows[limit] = windows
+        return windows
+
+
+#: Per-cascade skeletons, keyed by ``id(cascade)``.  Each entry holds
+#: its cascade, so an id cannot be reused while the entry lives.  The
+#: einsum builders are memoised, so a process plans a handful of
+#: cascade instances and this stays small.
+_SKELETONS: Dict[int, _Skeleton] = {}
+
+
+def _skeleton(cascade: Cascade) -> _Skeleton:
+    skeleton = _SKELETONS.get(id(cascade))
+    if skeleton is None:
+        skeleton = _Skeleton(cascade)
+        _SKELETONS[id(cascade)] = skeleton
+    return skeleton
+
+
 def clear_kernel_cache() -> None:
-    """Drop the in-process kernel memo (tests and benchmarks)."""
+    """Drop every in-process planning memo (tests and benchmarks):
+    kernels, per-cascade skeletons with their key memos, and the
+    memoised einsum builders -- a real cold start."""
+    from repro.einsum import builders
+
     _KERNEL_CACHE.clear()
+    _SKELETONS.clear()
+    for builder in builders.SUBLAYER_BUILDERS.values():
+        builder.cache_clear()
 
 
 def kernel_cache_size() -> int:
@@ -232,7 +309,7 @@ def kernel_cache_size() -> int:
 
 
 def _kernel_payload(
-    cascade: Cascade,
+    skeleton: _Skeleton,
     layer: str,
     tile: Mapping[str, int],
     arch: ArchitectureSpec,
@@ -247,7 +324,7 @@ def _kernel_payload(
     payload = {
         "kind": "dpipe-kernel",
         "salt": salt,
-        "cascade": dataclasses.asdict(cascade),
+        "cascade": skeleton.fragment,
         "layer": layer,
         "tile": {key: int(value) for key, value in
                  sorted(tile.items())},
@@ -365,7 +442,7 @@ def _kernel_from_dict(document: Mapping[str, Any]) -> _CascadeKernel:
 
 
 def _build_kernel(
-    cascade: Cascade,
+    skeleton: _Skeleton,
     layer: str,
     tile: Mapping[str, int],
     arch: ArchitectureSpec,
@@ -381,7 +458,7 @@ def _build_kernel(
     serially in a fixed order, so the cut point -- and therefore the
     (possibly degraded) kernel -- is identical on every host.
     """
-    dag = ComputationDAG.from_cascade(cascade)
+    cascade, dag = skeleton.cascade, skeleton.dag
     table = _planning_table(cascade, layer, tile, arch, options)
     units = Budget(units_limit) if units_limit is not None else None
 
@@ -417,9 +494,8 @@ def _build_kernel(
         loads=loads,
     )
 
-    paired_window = build_paired_window(dag, cascade)
     _, paired_best, paired_prov = fused_best_order_ex(
-        paired_window, table, options.max_orders,
+        skeleton.paired, table, options.max_orders,
         zero_latency={ROOT}, units=units,
     )
     provenance = worst_provenance(provenance, paired_prov)
@@ -430,20 +506,18 @@ def _build_kernel(
     )
 
     windows: List[_WindowKernel] = []
-    for bipartition in enumerate_bipartitions(
-        dag, limit=options.max_bipartitions
-    ):
+    for part in skeleton.windows(options.max_bipartitions):
         window, window_prov = best_window_schedule_ex(
-            dag, bipartition, table, options.max_orders,
-            units=units,
+            dag, part.bipartition, table, options.max_orders,
+            units=units, window=part.window,
         )
         provenance = worst_provenance(provenance, window_prov)
         windows.append(_WindowKernel(
-            bipartition=bipartition,
+            bipartition=part.bipartition,
             order=window.order,
             period=window.period_seconds,
-            fill=subgraph_makespan(dag, bipartition.first, table),
-            drain=subgraph_makespan(dag, bipartition.second, table),
+            fill=dp_schedule(*part.fill, table).makespan,
+            drain=dp_schedule(*part.drain, table).makespan,
             busy=dict(window.schedule.busy_seconds),
             load=window.schedule.load_split(table),
         ))
@@ -457,7 +531,7 @@ def _build_kernel(
 
 
 def _cached_kernel(
-    cascade: Cascade,
+    skeleton: _Skeleton,
     layer: str,
     tile: Mapping[str, int],
     arch: ArchitectureSpec,
@@ -472,11 +546,21 @@ def _cached_kernel(
         stable_hash,
     )
 
-    payload = _kernel_payload(
-        cascade, layer, tile, arch, options, code_salt(),
-        units_limit=units_limit,
+    salt = code_salt()
+    # The hex key is a pure function of these (the arch and tile by
+    # value), so it is hashed once per distinct tuple per cascade.
+    memo_key = (
+        layer, tuple(sorted(tile.items())), arch,
+        options.max_bipartitions, options.max_orders,
+        options.enable_dp_assignment, units_limit, salt,
     )
-    key = stable_hash(payload)
+    key = skeleton.keys.get(memo_key)
+    if key is None:
+        key = stable_hash(_kernel_payload(
+            skeleton, layer, tile, arch, options, salt,
+            units_limit=units_limit,
+        ))
+        skeleton.keys[memo_key] = key
 
     def satisfies(kernel: Optional[_CascadeKernel]) -> bool:
         return kernel is not None and (
@@ -495,11 +579,15 @@ def _cached_kernel(
                 _KERNEL_CACHE[key] = loaded
                 return loaded
     kernel = _build_kernel(
-        cascade, layer, tile, arch, options, with_pipeline,
+        skeleton, layer, tile, arch, options, with_pipeline,
         units_limit=units_limit,
     )
     _KERNEL_CACHE[key] = kernel
     if cache is not None:
+        payload = _kernel_payload(
+            skeleton, layer, tile, arch, options, salt,
+            units_limit=units_limit,
+        )
         cache.put("dpipe-kernel", key, _kernel_to_dict(kernel),
                   payload)
     return kernel
@@ -651,17 +739,18 @@ def plan_cascade(
     # distinct cache keys, so degraded results never masquerade as
     # complete ones (or vice versa).
     units_limit = resolve_budget()
+    skeleton = _skeleton(cascade)
     if validation_enabled():
         # Auditors must see real DP passes, not cached floats: rebuild
         # the kernel with the schedule auditor armed (every winning
         # search pass and every fill/drain DP is replay-checked).
         kernel = _build_kernel(
-            cascade, layer, tile, arch, options, with_pipeline,
+            skeleton, layer, tile, arch, options, with_pipeline,
             units_limit=units_limit,
         )
     else:
         kernel = _cached_kernel(
-            cascade, layer, tile, arch, options, with_pipeline,
+            skeleton, layer, tile, arch, options, with_pipeline,
             units_limit=units_limit,
         )
     return _plan_from_kernel(kernel, layer, n_epochs, options, arch)

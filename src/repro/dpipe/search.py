@@ -64,35 +64,27 @@ from repro.resilience.ladder import RUNG_FIRST_ORDER
 from repro.validate.config import validation_enabled
 
 
-class InternedProblem:
-    """One window/DAG interned for the fused search.
+class _Structure:
+    """The latency-free half of an :class:`InternedProblem`.
 
-    Node names map to integer ids in DAG insertion order (the same
-    order :func:`all_topological_orders` uses for its deterministic
-    tie-breaks), predecessor/successor lists are id-based with
-    successors rank-sorted, and latencies are flat per-array float
-    lists with epoch prefixes already stripped and zero-latency nodes
-    (the virtual ROOT) already resolved to 0.0.
+    Ids, id-based predecessor/successor lists, epoch-stripped names
+    and a topological order depend on the DAG alone, so they are built
+    once per DAG instance and shared by every latency table it is
+    searched under (the planner's per-cascade skeleton keeps its
+    window DAGs alive across tiles).
     """
 
-    __slots__ = (
-        "names", "preds", "succs", "lat2", "lat1", "tail_min",
-        "pred_map", "zero_latency",
-    )
+    __slots__ = ("names", "index", "preds", "succs", "bases",
+                 "topo", "pred_map")
 
-    def __init__(
-        self,
-        dag: ComputationDAG,
-        table: LatencyTable,
-        zero_latency: Set[str] = frozenset(),
-    ) -> None:
+    def __init__(self, dag: ComputationDAG) -> None:
         names = dag.nodes
         index = {name: i for i, name in enumerate(names)}
         pred_map = dag.pred_map()
         succ_map = dag.succ_map()
         self.names: Tuple[str, ...] = names
+        self.index: Dict[str, int] = index
         self.pred_map: Dict[str, Set[str]] = pred_map
-        self.zero_latency: Set[str] = set(zero_latency)
         self.preds: List[List[int]] = [
             [index[p] for p in pred_map[name]] for name in names
         ]
@@ -102,25 +94,13 @@ class InternedProblem:
         self.succs: List[List[int]] = [
             sorted(index[s] for s in succ_map[name]) for name in names
         ]
-        lat2: List[float] = []
-        lat1: List[float] = []
-        for name in names:
-            if name in zero_latency:
-                lat2.append(0.0)
-                lat1.append(0.0)
-            else:
-                base = _strip_epoch(name)
-                lat2.append(table.latency(base, ARRAYS[0]))
-                lat1.append(table.latency(base, ARRAYS[1]))
-        self.lat2 = lat2
-        self.lat1 = lat1
-        self.tail_min = self._tails()
-
-    def _tails(self) -> List[float]:
-        """Min-over-arrays critical path from each node (inclusive)."""
-        n = len(self.names)
+        self.bases: Tuple[str, ...] = tuple(
+            _strip_epoch(name) for name in names
+        )
         indegree = [len(p) for p in self.preds]
-        topo: List[int] = [v for v in range(n) if indegree[v] == 0]
+        topo: List[int] = [
+            v for v in range(len(names)) if indegree[v] == 0
+        ]
         cursor = 0
         while cursor < len(topo):
             for s in self.succs[topo[cursor]]:
@@ -128,14 +108,80 @@ class InternedProblem:
                 if indegree[s] == 0:
                     topo.append(s)
             cursor += 1
-        tail = [0.0] * n
+        self.topo: Tuple[int, ...] = tuple(topo)
+
+
+def _structure(dag: ComputationDAG) -> _Structure:
+    """``dag``'s :class:`_Structure`, memoised on the instance.
+
+    :class:`ComputationDAG` is a frozen dataclass, so the memo is
+    written straight into the instance ``__dict__`` (as
+    :func:`functools.cached_property` does); it is not a field, so
+    equality, hashing and ``asdict`` never see it, and it lives and
+    dies with the DAG.
+    """
+    structure = dag.__dict__.get("_interned")
+    if structure is None:
+        structure = _Structure(dag)
+        dag.__dict__["_interned"] = structure
+    return structure
+
+
+class InternedProblem:
+    """One window/DAG interned for the fused search.
+
+    Node names map to integer ids in DAG insertion order (the same
+    order :func:`all_topological_orders` uses for its deterministic
+    tie-breaks), predecessor/successor lists are id-based with
+    successors rank-sorted, and latencies are flat per-array float
+    lists with epoch prefixes already stripped and zero-latency nodes
+    (the virtual ROOT) already resolved to 0.0.  Everything but the
+    latencies comes from the DAG's memoised :class:`_Structure`.
+    """
+
+    __slots__ = (
+        "names", "preds", "succs", "lat2", "lat1", "tail_min",
+        "pred_map", "zero_latency", "index",
+    )
+
+    def __init__(
+        self,
+        dag: ComputationDAG,
+        table: LatencyTable,
+        zero_latency: Set[str] = frozenset(),
+    ) -> None:
+        structure = _structure(dag)
+        self.names: Tuple[str, ...] = structure.names
+        self.index: Dict[str, int] = structure.index
+        self.pred_map: Dict[str, Set[str]] = structure.pred_map
+        self.zero_latency: Set[str] = set(zero_latency)
+        self.preds: List[List[int]] = structure.preds
+        self.succs: List[List[int]] = structure.succs
+        seconds = table.seconds
+        array2, array1 = ARRAYS
+        lat2: List[float] = []
+        lat1: List[float] = []
+        for name, base in zip(structure.names, structure.bases):
+            if name in zero_latency:
+                lat2.append(0.0)
+                lat1.append(0.0)
+            else:
+                lat2.append(seconds[(base, array2)])
+                lat1.append(seconds[(base, array1)])
+        self.lat2 = lat2
+        self.lat1 = lat1
+        self.tail_min = self._tails(structure.topo)
+
+    def _tails(self, topo: Sequence[int]) -> List[float]:
+        """Min-over-arrays critical path from each node (inclusive)."""
+        succs, lat2, lat1 = self.succs, self.lat2, self.lat1
+        tail = [0.0] * len(self.names)
         for v in reversed(topo):
             heaviest = 0.0
-            for s in self.succs[v]:
+            for s in succs[v]:
                 if tail[s] > heaviest:
                     heaviest = tail[s]
-            own = self.lat2[v] if self.lat2[v] < self.lat1[v] \
-                else self.lat1[v]
+            own = lat2[v] if lat2[v] < lat1[v] else lat1[v]
             tail[v] = own + heaviest
         return tail
 
@@ -471,7 +517,7 @@ def fused_best_order_ex(
         best_names = tuple(problem.names[v] for v in first)
         best = (makespan, ends, assign, busy2, busy1)
         provenance = fallback_provenance(RUNG_FIRST_ORDER)
-    index = {name: i for i, name in enumerate(problem.names)}
+    index = problem.index
     for extra in extra_orders:
         ids = [index[name] for name in extra]
         makespan, ends, assign, busy2, busy1 = _dp_over_ids(

@@ -17,18 +17,24 @@ s     FFN hidden dimension
 
 Each builder returns a symbolic :class:`~repro.einsum.cascade.Cascade`;
 concrete sizes are supplied at evaluation/scheduling time via an
-``extents`` mapping.
+``extents`` mapping.  Builders are memoised per process (their
+arguments are hashable scalars), so every caller asking for the same
+cascade shares one immutable instance -- and with it the DPipe
+planner's per-cascade structure memo.  Callers only read it; the
+undecorated builder stays reachable as ``builder.__wrapped__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 from repro.einsum.cascade import Cascade, StateSpec
 from repro.einsum.operation import contraction, map_op, reduction
 from repro.einsum.tensor import tensor
 
 
+@lru_cache(maxsize=None, typed=True)
 def qkv_cascade(kv_cost_fraction: float = 1.0) -> Cascade:
     """Einsum Cascade 2: tiled Q/K/V projections with shared input.
 
@@ -76,6 +82,7 @@ def qkv_cascade(kv_cost_fraction: float = 1.0) -> Cascade:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def attention_cascade(masked: bool = False) -> Cascade:
     """Einsum Cascade 1: FuseMax's 1-pass attention (Eq. 12-24).
 
@@ -180,6 +187,7 @@ def attention_cascade(masked: bool = False) -> Cascade:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def layernorm_cascade(eps: float = 0.0) -> Cascade:
     """Einsum Cascade 3: Add & LayerNorm (Eq. 28-36).
 
@@ -245,6 +253,7 @@ def layernorm_cascade(eps: float = 0.0) -> Cascade:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def ffn_cascade(activation: str = "gelu") -> Cascade:
     """Einsum Cascade 4: the feed-forward network (Eq. 37-39).
 

@@ -72,46 +72,17 @@ class _Node:
     """
 
     __slots__ = ("prefix", "untried", "visits", "total_reward",
-                 "children")
+                 "mean", "children")
 
     def __init__(self, prefix: Assignment, untried: List[int]) -> None:
         self.prefix = prefix
         self.untried = untried
         self.visits = 0
         self.total_reward = 0.0
+        #: ``total_reward / visits``, refreshed on backpropagation:
+        #: one division per path node instead of one per scored child.
+        self.mean = 0.0
         self.children: List["_Node"] = []
-
-    def select_child(self, exploration: float) -> "_Node":
-        """UCB1: exploitation plus exploration bonus.
-
-        Zero-visit children score ``inf``, so the first one wins.  For
-        the visited case each score is ``mean + c * sqrt(log(N) / n)``
-        term for term, with ``log(N)`` computed once per selection
-        instead of once per child -- the same correctly-rounded value
-        either way.  A strict ``>`` keeps the first maximum, as
-        Python's ``max`` does.
-        """
-        children = self.children
-        for child in children:
-            if child.visits == 0:
-                return child
-        log_n = math.log(self.visits)
-        best = children[0]
-        count = best.visits
-        best_score = (
-            best.total_reward / count
-            + exploration * math.sqrt(log_n / count)
-        )
-        for child in children[1:]:
-            count = child.visits
-            score = (
-                child.total_reward / count
-                + exploration * math.sqrt(log_n / count)
-            )
-            if score > best_score:
-                best_score = score
-                best = child
-        return best
 
 
 def mcts_search(
@@ -140,7 +111,8 @@ def mcts_search(
         viable: ``(prefix, level) -> values`` returning the level's
             candidates with a feasible completion under the prefix,
             in level order; ``None`` means no pruning.  The driver
-            copies each list, so the oracle may memoise them.  A
+            never mutates a returned list (a node copies the one it
+            pops from), so the oracle may memoise them.  A
             prefix under which some level has *no* viable candidate
             makes the iteration a dead-end: zero reward is
             backpropagated and the evaluator is not called.
@@ -156,16 +128,18 @@ def mcts_search(
     if any(len(values) == 0 for values in levels):
         raise ValueError("every level needs at least one candidate")
     rng = random.Random(seed)
+    randrange = rng.randrange
+    choice = rng.choice
+    log = math.log
+    sqrt = math.sqrt
     depth = len(levels)
+    if viable is None:
+        def viable(prefix: Assignment, level: int) -> Sequence[int]:
+            return levels[level]
 
-    def viable_values(prefix: Assignment, level: int) -> List[int]:
-        # A fresh list per call: nodes pop their ``untried`` list,
-        # which must not alias a memoised one.
-        if viable is None:
-            return list(levels[level])
-        return list(viable(prefix, level))
-
-    root = _Node(prefix=(), untried=viable_values((), 0))
+    # Nodes pop their ``untried`` list, so it is the one copy taken of
+    # a (possibly memoised) viable list; rollouts only read.
+    root = _Node(prefix=(), untried=list(viable((), 0)))
     best_reward = -1.0
     best_assignment: Assignment = tuple(
         values[0] for values in levels
@@ -189,18 +163,34 @@ def mcts_search(
             and node.children
             and len(node.prefix) < depth
         ):
-            node = node.select_child(exploration)
+            # UCB1: ``mean + c * sqrt(log(N) / n)`` term for term,
+            # with ``log(N)`` computed once per selection and a strict
+            # ``>`` keeping the first maximum, as Python's ``max``
+            # does.  Every child was visited in the iteration that
+            # expanded it, so ``n > 0``.
+            log_n = log(node.visits)
+            best = None
+            best_score = 0.0
+            for child in node.children:
+                score = (
+                    child.mean
+                    + exploration * sqrt(log_n / child.visits)
+                )
+                if best is None or score > best_score:
+                    best_score = score
+                    best = child
+            node = best
             path.append(node)
         # Expansion: materialize one untried child.
         if node.untried and len(node.prefix) < depth:
-            value = node.untried.pop(
-                rng.randrange(len(node.untried))
-            )
-            level = len(node.prefix) + 1
+            untried = node.untried
+            value = untried.pop(randrange(len(untried)))
+            prefix = node.prefix + (value,)
+            level = len(prefix)
             child = _Node(
-                prefix=node.prefix + (value,),
+                prefix=prefix,
                 untried=(
-                    viable_values(node.prefix + (value,), level)
+                    list(viable(prefix, level))
                     if level < depth
                     else []
                 ),
@@ -213,27 +203,28 @@ def mcts_search(
         # with zero viable candidates is a dead-end: every completion
         # is provably infeasible, so back up zero reward and move on
         # rather than burning an evaluation on it.
-        assignment = list(node.prefix)
+        assignment = node.prefix
         reward = 0.0
         dead_end = False
         for level in range(len(assignment), depth):
-            choices = viable_values(tuple(assignment), level)
+            choices = viable(assignment, level)
             if not choices:
                 dead_end = True
                 break
-            assignment.append(rng.choice(choices))
+            assignment += (choice(choices),)
         if dead_end:
             dead_ends += 1
         else:
-            reward = evaluate(tuple(assignment))
+            reward = evaluate(assignment)
             evaluations += 1
             if reward > best_reward:
                 best_reward = reward
-                best_assignment = tuple(assignment)
+                best_assignment = assignment
         # Backpropagation.
         for visited in path:
             visited.visits += 1
             visited.total_reward += reward
+            visited.mean = visited.total_reward / visited.visits
 
     return MCTSStats(
         iterations=performed,

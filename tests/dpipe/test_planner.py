@@ -259,6 +259,67 @@ class TestFusedPlannerEqualsLegacy:
         self.assert_plans_identical(fused, legacy)
 
 
+class TestSkeletonReuse:
+    """Plans built on a reused per-cascade skeleton (and, with the
+    memo on, a reused hex-key memo) equal the legacy planner's: many
+    tiles per cascade, no memo cleared in between."""
+
+    CASCADES = [
+        ("qkv", lambda: qkv_cascade()),
+        ("qkv", lambda: qkv_cascade(kv_cost_fraction=0.25)),
+        ("mha", lambda: attention_cascade()),
+        ("mha", lambda: attention_cascade(masked=True)),
+        ("layernorm", lambda: layernorm_cascade()),
+        ("ffn", lambda: ffn_cascade()),
+        ("ffn", lambda: ffn_cascade("silu")),
+    ]
+
+    @staticmethod
+    def _tiles(layer, arch):
+        """At least six distinct inner tiles for ``layer`` on
+        ``arch``, from several models and sequence lengths."""
+        from repro.model.config import named_model
+
+        tiles = []
+        for model in ("bert", "llama3", "t5"):
+            for seq in (8, 64, 4096):
+                extents = named_model(model).extents()
+                extents.update({"p": seq, "m0": seq, "m1": 1})
+                tile = inner_tile_extents(layer, extents,
+                                          arch.array_2d)
+                if tile not in tiles:
+                    tiles.append(tile)
+        assert len(tiles) >= 6
+        return tiles
+
+    @pytest.mark.parametrize("validate", [False, True],
+                             ids=["memo", "validated"])
+    def test_reused_skeleton_plans_equal_legacy(self, cloud, edge,
+                                                validate):
+        from repro.dpipe import planner
+        from repro.validate import force_validation
+        from tests.oracles.dpipe_legacy import plan_cascade_legacy
+
+        planner.clear_kernel_cache()
+        cascades = [(layer, build()) for layer, build in self.CASCADES]
+        with force_validation(validate):
+            for arch in (cloud, edge):
+                for layer, cascade in cascades:
+                    for tile in self._tiles(layer, arch):
+                        for n_epochs in (1, 7):
+                            fused = plan_cascade(cascade, layer, tile,
+                                                 arch, n_epochs)
+                            legacy = plan_cascade_legacy(
+                                cascade, layer, tile, arch, n_epochs
+                            )
+                            assert fused == legacy
+                            assert (list(fused.busy_seconds)
+                                    == list(legacy.busy_seconds))
+        # One skeleton per cascade instance, reused by every tile.
+        assert len(planner._SKELETONS) == len(cascades)
+        planner.clear_kernel_cache()
+
+
 class TestKernelMemoization:
     """The n_epochs-free kernel memo returns byte-identical plans on
     repeat calls, shares kernels across epoch counts, and survives a

@@ -219,3 +219,94 @@ class TestBuilderRegistry:
         for builder in SUBLAYER_BUILDERS.values():
             cascade = builder()
             assert len(cascade) > 0
+
+
+class TestMemoisedBuilders:
+    """Builders are memoised per process: callers share one instance
+    per argument tuple, and nothing they do may change it."""
+
+    BUILDERS = (qkv_cascade, attention_cascade, layernorm_cascade,
+                ffn_cascade)
+
+    @staticmethod
+    def _fresh(model, masked):
+        """The four cascades of ``ExecutorBase.cascades``, built by
+        the undecorated builders."""
+        return {
+            "qkv": qkv_cascade.__wrapped__(
+                kv_cost_fraction=model.kv_fraction
+            ),
+            "mha": attention_cascade.__wrapped__(masked=masked),
+            "layernorm": layernorm_cascade.__wrapped__(),
+            "ffn": ffn_cascade.__wrapped__(model.activation),
+        }
+
+    def test_equal_arguments_share_one_pristine_instance(self):
+        cases = [
+            (qkv_cascade, (), {"kv_cost_fraction": 0.25}),
+            (attention_cascade, (), {"masked": True}),
+            (layernorm_cascade, (1e-5,), {}),
+            (ffn_cascade, ("relu",), {}),
+        ]
+        for builder, args, kwargs in cases:
+            shared = builder(*args, **kwargs)
+            assert builder(*args, **kwargs) is shared
+            assert shared == builder.__wrapped__(*args, **kwargs)
+            assert builder() is builder()
+
+    def test_argument_types_do_not_alias(self):
+        # An int weight would reach the kernel key as ``1``, not
+        # ``1.0``: typed memoisation keeps the two apart.
+        assert qkv_cascade(1) is not qkv_cascade(1.0)
+        assert qkv_cascade(1.0) == qkv_cascade.__wrapped__(1.0)
+
+    def test_shared_cascades_survive_a_grid(self):
+        from repro.baselines.registry import named_executor
+        from repro.dpipe import planner
+        from repro.model.config import named_model
+        from repro.runner import GridPoint, run_grid
+
+        planner.clear_kernel_cache()
+        points = [
+            GridPoint(executor, model, 512, arch, batch=1,
+                      causal=causal)
+            for executor in ("transfusion", "fusemax")
+            for model, arch, causal in (
+                ("bert", "edge", False),
+                ("llama3-gqa", "cloud", True),
+            )
+        ]
+        run_grid(points, jobs=1, use_cache=False)
+        executor = named_executor("transfusion")
+        shared = []
+        for model, causal in (("bert", False), ("llama3-gqa", True)):
+            config = named_model(model)
+            cascades = executor.cascades(config, masked=causal)
+            assert cascades == self._fresh(config, causal)
+            shared.extend(cascades.values())
+        planned = [s.cascade for s in planner._SKELETONS.values()]
+        assert planned
+        assert all(
+            any(cascade is instance for instance in shared)
+            for cascade in planned
+        )
+
+    def test_clear_kernel_cache_drops_every_memo(self, cloud):
+        from repro.dpipe import planner
+        from repro.sim.mapping import inner_tile_extents
+        from repro.validate import force_validation
+
+        cascade = attention_cascade()
+        extents = {"h": 8, "e": 64, "f": 64, "p": 256, "m0": 256,
+                   "m1": 1}
+        tile = inner_tile_extents("mha", extents, cloud.array_2d)
+        with force_validation(False):
+            planner.plan_cascade(cascade, "mha", tile, cloud, 4)
+        assert planner.kernel_cache_size() > 0
+        assert planner._skeleton(cascade).keys
+        planner.clear_kernel_cache()
+        assert planner.kernel_cache_size() == 0
+        assert planner._SKELETONS == {}
+        for builder in self.BUILDERS:
+            assert builder.cache_info().currsize == 0
+        assert attention_cascade() is not cascade
