@@ -209,10 +209,11 @@ def test_tileseek_search_throughput(benchmark, perf_log):
     """Full single-point search: the production search vs. the
     retained scalar oracle, byte-identical results required.
 
-    Both price every candidate with ``assess_tiling``; the gain is
-    the production prune (hoisted Table-2 constants, once per unique
-    prefix, early exit at the first overflow) and the slotted UCB1
-    selection.  The gate is a conservative floor.
+    The oracle prices every leaf with ``assess_tiling``; the product
+    prices leaves from hoisted constants, assesses only the reference
+    and the winner, bisects each prefix's Table-2 prune once, and
+    uses the slotted UCB1 selection.  The gate is a conservative
+    floor.
     """
     from tests.oracles.tileseek_scalar import search_scalar
 
@@ -256,6 +257,49 @@ def test_tileseek_search_throughput(benchmark, perf_log):
     assert ratio >= 1.5, (
         f"search only {ratio:.2f}x faster than the scalar oracle"
     )
+
+
+def test_tileseek_search_cpu(perf_log):
+    """The product search's CPU time per search over 100 seeded fresh
+    workloads: every model, the four named architectures, and drawn
+    sequence length, batch and causality, one search each at the
+    default 400 iterations.  Records the p50 (CPU time, so other
+    processes on a shared host do not count); no gate.
+    """
+    from repro.arch.spec import named_architecture
+    from repro.model.config import MODEL_ZOO
+
+    models = sorted(MODEL_ZOO)
+    archs = ("cloud", "edge", "edge32", "edge64")
+    rng = random.Random(20)
+    points = []
+    while len(points) < 100:
+        point = (
+            models[len(points) % len(models)],
+            archs[len(points) // len(models) % len(archs)],
+            rng.choice((512, 2048, 4096, 8192, 16384, 65536, 1 << 20)),
+            rng.choice((1, 4, 16, 64)), rng.random() < 0.5,
+        )
+        if point not in points:
+            points.append(point)
+    samples = []
+    for model, arch, seq, batch, causal in points:
+        workload = Workload(named_model(model), seq_len=seq,
+                            batch=batch, causal=causal)
+        architecture = named_architecture(arch)
+        start = time.process_time()
+        result = TileSeek().search(workload, architecture)
+        samples.append(time.process_time() - start)
+        assert result.feasible
+    samples.sort()
+    perf_log("tileseek_search_cpu", {
+        "tileseek_search_ms_p50": samples[len(samples) // 2] * 1e3,
+        "tileseek_search_ms_mean": sum(samples) / len(samples) * 1e3,
+        "searches": len(samples),
+        "workload": "TileSeek().search over 100 seeded fresh points "
+                    "(all models x cloud/edge/edge32/edge64, drawn "
+                    "seq/batch/causal), CPU time",
+    })
 
 
 def test_cascade_evaluator_speed(benchmark):
@@ -421,15 +465,35 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
     in-process memos, against an empty disk cache -- the cost a
     long-running server pays per cache miss.
 
-    Records the per-request p50; the ceiling only applies under
-    ``REPRO_BENCH_STRICT``.
+    Records the per-request p50 and, per miss, the CPU milliseconds
+    spent in the TileSeek search, the DPipe kernel build and cache
+    puts; the ceiling only applies under ``REPRO_BENCH_STRICT``.
     """
+    import repro.dpipe.planner as planner
     from repro.model.config import MODEL_ZOO
+    from repro.runner.cache import PlanCache
     from repro.serve.protocol import execute_request, parse_request
     from repro.validate import force_validation
 
     monkeypatch.setenv("REPRO_CACHE", "1")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cpu = {"tileseek": 0.0, "kernel_build": 0.0, "cache_put": 0.0}
+
+    def cpu_timed(owner, name, key):
+        inner = getattr(owner, name)
+
+        def timed(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                cpu[key] += time.process_time() - start
+
+        monkeypatch.setattr(owner, name, timed)
+
+    cpu_timed(TileSeek, "search", "tileseek")
+    cpu_timed(planner, "_build_kernel", "kernel_build")
+    cpu_timed(PlanCache, "put", "cache_put")
     models = sorted(MODEL_ZOO)
     archs = ("cloud", "edge", "edge32", "edge64")
 
@@ -459,6 +523,7 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
     with force_validation(False):
         for index, point in enumerate(sorted(warm)):
             execute_request(request(index, *point))
+        cpu.update(dict.fromkeys(cpu, 0.0))
         for index, point in enumerate(fresh):
             start = time.perf_counter()
             response = execute_request(request(index, *point))
@@ -469,6 +534,10 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
     perf_log("plan_miss_speed", {
         "plan_miss_ms_p50": p50_ms,
         "plan_miss_ms_mean": sum(samples) / len(samples) * 1e3,
+        **{
+            f"{key}_cpu_ms_per_miss": seconds / len(samples) * 1e3
+            for key, seconds in cpu.items()
+        },
         "points": len(samples),
         "workload": "execute_request, transfusion, fresh seeded "
                     "points after one plan per (model, arch)",

@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.arch.pe import PEArrayKind
 from repro.dpipe.latency import LatencyTable
 from repro.dpipe.scheduler import ScheduleResult, dp_schedule
 from repro.graph.dag import ComputationDAG
 from repro.graph.partition import Bipartition
-from repro.graph.toposort import critical_path_order
 
 #: Virtual root node name (Figure 7d).
 ROOT = "ROOT"
@@ -65,24 +63,6 @@ class WindowSchedule:
     def period_seconds(self) -> float:
         """Steady-state seconds per epoch."""
         return self.schedule.makespan
-
-
-def _window_weights(
-    window: ComputationDAG, table: LatencyTable
-) -> dict:
-    """Best-case (min-over-arrays) op latencies for the critical-path
-    heuristic order."""
-    return {
-        node: min(
-            table.latency(node.split(".", 1)[1], kind)
-            for kind in (
-                PEArrayKind.ARRAY_2D, PEArrayKind.ARRAY_1D,
-            )
-        )
-        if node != ROOT
-        else 0.0
-        for node in window.nodes
-    }
 
 
 def best_window_schedule(
@@ -134,11 +114,7 @@ def best_window_schedule_ex(
         window = build_window(dag, bipartition)
     order, result, provenance = fused_best_order_ex(
         window, table, max_orders, zero_latency={ROOT},
-        extra_orders=(
-            critical_path_order(window, _window_weights(window,
-                                                        table)),
-        ),
-        units=units,
+        units=units, critical_path=True,
     )
     return WindowSchedule(
         bipartition=bipartition, order=order, schedule=result

@@ -48,6 +48,7 @@ than min-array latency per op, so any completion's makespan is
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.pe import PEArrayKind
@@ -67,15 +68,17 @@ from repro.validate.config import validation_enabled
 class _Structure:
     """The latency-free half of an :class:`InternedProblem`.
 
-    Ids, id-based predecessor/successor lists, epoch-stripped names
-    and a topological order depend on the DAG alone, so they are built
-    once per DAG instance and shared by every latency table it is
-    searched under (the planner's per-cascade skeleton keeps its
+    Ids, id-based predecessor/successor lists, epoch-stripped names,
+    a topological order, each node's rank among the sorted names and
+    the pruned-leaf count memo depend on the DAG alone, so they are
+    built once per DAG instance and shared by every latency table it
+    is searched under (the planner's per-cascade skeleton keeps its
     window DAGs alive across tiles).
     """
 
     __slots__ = ("names", "index", "preds", "succs", "bases",
-                 "topo", "pred_map")
+                 "topo", "pred_map", "name_rank", "pred_masks",
+                 "extensions")
 
     def __init__(self, dag: ComputationDAG) -> None:
         names = dag.nodes
@@ -109,6 +112,89 @@ class _Structure:
                     topo.append(s)
             cursor += 1
         self.topo: Tuple[int, ...] = tuple(topo)
+        # critical_path_order's tie-break (the name) as an int.
+        rank = [0] * len(names)
+        for position, v in enumerate(
+            sorted(range(len(names)), key=names.__getitem__)
+        ):
+            rank[v] = position
+        self.name_rank: Tuple[int, ...] = tuple(rank)
+        self.pred_masks: Tuple[int, ...] = tuple(
+            sum(1 << p for p in preds) for preds in self.preds
+        )
+        #: ``cap -> {placed mask -> min(leaves, cap)}``, see
+        #: :meth:`leaves`.
+        self.extensions: Dict[int, Dict[int, int]] = {}
+
+    def leaves(self, placed: int, cap: int) -> int:
+        """``min(L, cap)``, where ``L`` counts the orders that complete
+        the placed set (a bitmask of ids): the linear extensions of
+        the sub-DAG of unplaced nodes.
+
+        Memoised by (mask, cap).  A capped count stops summing its
+        children once it reaches ``cap``, so each mask's work is
+        bounded by the cap as the enumeration walk it replaces was.
+        """
+        memo = self.extensions.get(cap)
+        if memo is None:
+            memo = self.extensions[cap] = {}
+        known = memo.get(placed)
+        if known is not None:
+            return known
+        full = (1 << len(self.names)) - 1
+        pred_masks = self.pred_masks
+
+        def count(placed: int) -> int:
+            total = memo.get(placed)
+            if total is None:
+                if placed == full:
+                    total = 1
+                else:
+                    total = 0
+                    for v, need in enumerate(pred_masks):
+                        bit = 1 << v
+                        if not placed & bit and need & placed == need:
+                            total += count(placed | bit)
+                            if total >= cap:
+                                total = cap
+                                break
+                memo[placed] = total
+            return total
+
+        return count(placed)
+
+    def critical_path(self, tail_min: Sequence[float]) -> List[int]:
+        """:func:`~repro.graph.toposort.critical_path_order` in ids.
+
+        ``tail_min`` is the min-over-arrays critical path from each
+        node -- bit for bit the weights ``critical_path_order``
+        accumulates for a window (zero for the virtual ROOT) -- and
+        the ready node with the heaviest tail, then the smallest
+        name, goes first.  That key is a total order, so one sort
+        gives each node a priority and a heap replays the
+        list-scheduling loop.
+        """
+        n = len(self.names)
+        rank = self.name_rank
+        by_priority = sorted(
+            range(n), key=lambda v: (-tail_min[v], rank[v])
+        )
+        priority = [0] * n
+        for position, v in enumerate(by_priority):
+            priority[v] = position
+        indegree = [len(p) for p in self.preds]
+        ready = [priority[v] for v in range(n) if indegree[v] == 0]
+        heapify(ready)
+        order: List[int] = []
+        succs = self.succs
+        while ready:
+            v = by_priority[heappop(ready)]
+            order.append(v)
+            for s in succs[v]:
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    heappush(ready, priority[s])
+        return order
 
 
 def _structure(dag: ComputationDAG) -> _Structure:
@@ -141,7 +227,7 @@ class InternedProblem:
 
     __slots__ = (
         "names", "preds", "succs", "lat2", "lat1", "tail_min",
-        "pred_map", "zero_latency", "index",
+        "pred_map", "zero_latency", "index", "structure",
     )
 
     def __init__(
@@ -151,6 +237,7 @@ class InternedProblem:
         zero_latency: Set[str] = frozenset(),
     ) -> None:
         structure = _structure(dag)
+        self.structure = structure
         self.names: Tuple[str, ...] = structure.names
         self.index: Dict[str, int] = structure.index
         self.pred_map: Dict[str, Set[str]] = structure.pred_map
@@ -240,6 +327,7 @@ class _FusedSearch:
         units: Optional[Budget] = None,
     ) -> None:
         self.problem = problem
+        self.limit = limit
         self.budget = limit  # the legacy max-orders cap, not units
         self.units = units
         self.exhausted = False
@@ -382,33 +470,19 @@ class _FusedSearch:
         """Count the pruned prefix's leaves against the cap.
 
         The legacy search would have enumerated (and scored) these
-        orders, so the cap must consume them; the structural descent
-        visits children in the identical deterministic order and does
-        no DP work.  Total cost is bounded by the remaining budget.
+        orders, so the cap must consume them: ``min(leaves,
+        budget)`` of it, exactly as a structural walk over them
+        would, from the memoised count of orders completing the
+        placed set.
         """
-        if len(self.order) == self.n:
-            self.budget -= 1
-            return self.budget > 0
-        ready, indegree = self.ready, self.indegree
-        succs = self.problem.succs
-        for i in range(len(ready)):
-            v = ready.pop(i)
-            self.order.append(v)
-            opened: List[int] = []
-            for s in succs[v]:
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    opened.append(s)
-            ready.extend(opened)
-            keep_going = self._count_skipped()
-            for s in opened:
-                ready.remove(s)
-            for s in succs[v]:
-                indegree[s] += 1
-            self.order.pop()
-            ready.insert(i, v)
-            if not keep_going:
-                return False
+        placed = 0
+        for v in self.order:
+            placed |= 1 << v
+        leaves = self.problem.structure.leaves(placed, self.limit)
+        if leaves >= self.budget:
+            self.budget = 0
+            return False
+        self.budget -= leaves
         return True
 
 
@@ -475,6 +549,7 @@ def fused_best_order_ex(
     zero_latency: Set[str] = frozenset(),
     extra_orders: Sequence[Tuple[str, ...]] = (),
     units: Optional[Budget] = None,
+    critical_path: bool = False,
 ) -> Tuple[Tuple[str, ...], ScheduleResult, str]:
     """:func:`fused_best_order` plus an anytime unit budget.
 
@@ -486,7 +561,10 @@ def fused_best_order_ex(
     capped-enumeration degenerate case) and the provenance is
     ``fallback:first_order``.  ``extra_orders`` are always evaluated
     -- they are O(n) deterministic candidates, the DPipe analogue of
-    the TileSeek fallback ladder.
+    the TileSeek fallback ladder.  ``critical_path=True`` appends one
+    more: :func:`~repro.graph.toposort.critical_path_order` under
+    min-over-arrays latencies (zero for ``zero_latency`` nodes),
+    built in ids from the interned problem.
 
     Returns:
         ``(order, schedule, provenance)``.
@@ -518,13 +596,18 @@ def fused_best_order_ex(
         best = (makespan, ends, assign, busy2, busy1)
         provenance = fallback_provenance(RUNG_FIRST_ORDER)
     index = problem.index
-    for extra in extra_orders:
-        ids = [index[name] for name in extra]
+    candidates = [[index[name] for name in extra]
+                  for extra in extra_orders]
+    if critical_path:
+        candidates.append(
+            problem.structure.critical_path(problem.tail_min)
+        )
+    for ids in candidates:
         makespan, ends, assign, busy2, busy1 = _dp_over_ids(
             problem, ids
         )
         if makespan < best[0]:  # strict: first-found winner stands
-            best_names = tuple(extra)
+            best_names = tuple(problem.names[v] for v in ids)
             best = (makespan, ends, assign, busy2, busy1)
     makespan, ends_by_pos, assign_by_pos, busy2, busy1 = best
     end_times: Dict[str, float] = {}

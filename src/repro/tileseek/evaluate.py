@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from repro.arch.spec import ArchitectureSpec
 from repro.model.workload import Workload
@@ -49,6 +50,75 @@ class TilingAssessment:
     weight_passes: int
 
 
+def traffic_model(
+    workload: Workload, buffer_words: int
+) -> Callable[[int, int], Tuple[float, int, int, float]]:
+    """Per-layer fused-dataflow DRAM traffic as a function of the two
+    factors it depends on, ``(b, p)``, with every workload constant
+    hoisted.
+
+    TileSeek prices dozens of leaves per search with only the searched
+    factors varying; the returned function is the one place the
+    traffic formula lives (:func:`dram_traffic_words` calls it too),
+    so a hoisted search reward and a full :func:`assess_tiling` see
+    the same floats from the same operations in the same order.
+
+    Args:
+        workload: The problem instance.
+        buffer_words: On-chip capacity (a per-batch-element K/V cache
+            that fits in half the buffer is fetched once, not per
+            Q tile).
+
+    Returns:
+        ``traffic(b, p) -> (total, kv_passes, weight_passes,
+        kv_words)``.
+    """
+    activations = workload.activation_words
+    qkv_weights, ffn_weights = _weight_words(workload)
+    weights = qkv_weights + ffn_weights
+    layer_io = activations + activations  # layer input read + write
+    # Weight passes: one per resident token group over the flat
+    # batch-token pool (token-parallel layers share weights across
+    # the batch, so groups never exceed total_tokens / (b * p)).
+    total_tokens = workload.batch * workload.seq_len
+    seq_len = workload.seq_len
+    kv_cache = workload.kv_words
+    kv_per_batch = kv_cache / workload.batch
+    kv_resident = 0.5 * buffer_words
+    kv_spill = workload.kv_spill_words
+    kv_fetched_once = kv_spill + kv_cache  # spill + one read
+    attention_fraction = workload.attention_work_fraction
+    ceil = math.ceil
+
+    def traffic(b: int, p: int) -> Tuple[float, int, int, float]:
+        groups = max(1, ceil(total_tokens / (b * p)))
+        if kv_per_batch * b <= kv_resident:
+            kv_passes = 1
+            kv_words = kv_fetched_once
+        else:
+            kv_passes = ceil(seq_len / p)
+            kv_words = (  # spill + reloads
+                kv_spill + kv_cache * kv_passes * attention_fraction
+            )
+        return (
+            layer_io + weights * groups + kv_words,
+            kv_passes, groups, kv_words,
+        )
+
+    return traffic
+
+
+def _weight_words(workload: Workload) -> Tuple[int, float]:
+    """QKV and FFN weight words streamed per weight pass."""
+    model = workload.model
+    qkv_weights = (
+        model.d_model * model.e_head
+        * (model.heads + 2 * model.effective_kv_heads)
+    )
+    ffn_weights = 2.0 * model.d_model * model.ffn_hidden
+    return qkv_weights, ffn_weights
+
+
 def dram_traffic_words(
     cfg: TilingConfig, workload: Workload, buffer_words: int
 ) -> dict:
@@ -57,43 +127,16 @@ def dram_traffic_words(
     Args:
         cfg: The tiling configuration.
         workload: The problem instance.
-        buffer_words: On-chip capacity (a per-batch-element K/V cache
-            that fits in half the buffer is fetched once, not per
-            Q tile).
+        buffer_words: On-chip capacity (see :func:`traffic_model`).
 
     Returns:
         A dict with ``total``, ``kv_passes``, ``weight_passes``,
         ``qkv_weight_words``, ``ffn_weight_words`` and ``kv_words``.
     """
-    model = workload.model
-    activations = workload.activation_words
-    qkv_weights = (
-        model.d_model * model.e_head
-        * (model.heads + 2 * model.effective_kv_heads)
-    )
-    ffn_weights = 2.0 * model.d_model * model.ffn_hidden
-    # Weight passes: one per resident token group over the flat
-    # batch-token pool (token-parallel layers share weights across
-    # the batch, so groups never exceed total_tokens / (b * p)).
-    total_tokens = workload.batch * workload.seq_len
-    groups = max(1, math.ceil(total_tokens / (cfg.b * cfg.p)))
-    kv_cache = workload.kv_words
-    per_batch_kv = kv_cache / workload.batch * cfg.b
-    if per_batch_kv <= 0.5 * buffer_words:
-        kv_passes = 1
-        kv_reads = kv_cache
-    else:
-        kv_passes = math.ceil(workload.seq_len / cfg.p)
-        kv_reads = (
-            kv_cache * kv_passes * workload.attention_work_fraction
-        )
-    kv_words = workload.kv_spill_words + kv_reads  # spill + reloads
-    total = (
-        activations  # layer input read
-        + activations  # layer output write
-        + (qkv_weights + ffn_weights) * groups
-        + kv_words
-    )
+    total, kv_passes, groups, kv_words = traffic_model(
+        workload, buffer_words
+    )(cfg.b, cfg.p)
+    qkv_weights, ffn_weights = _weight_words(workload)
     return {
         "total": total,
         "kv_passes": kv_passes,

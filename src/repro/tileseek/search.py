@@ -2,17 +2,19 @@
 
 Binds the generic MCTS to the tiling problem: candidate grids for the
 ``[B, D, M1, P, S]`` factors, Table-2 feasibility pruning, the
-analytical reward, and a memoized evaluation cache (MCTS revisits
+analytical reward, and a memoized reward per leaf (MCTS revisits
 leaves; Timeloop-style evaluation is the expensive step in the paper).
 
-The search prices every candidate with :func:`assess_tiling` in exact
-Python integers and prunes each prefix once per candidate level, with
-the Table-2 constants hoisted and an early exit at the first
-overflowing value.  The original one-candidate-at-a-time search is
-kept as a test oracle (``tests/oracles/tileseek_scalar.py``); the two
-are byte-identical by contract -- same :class:`TileSeekResult`
-(config, assessment, stats, provenance) for every input.  See
-DESIGN.md §10 for the exactness argument.
+The search prices each leaf from hoisted constants -- the Table-2
+footprint in exact Python integers and the traffic total of
+:func:`traffic_model` -- and runs :func:`assess_tiling` only for the
+reference and the winner.  It prunes each prefix once per candidate
+level by bisecting for the end of the level's feasible prefix.  The
+original one-candidate-at-a-time search is kept as a test oracle
+(``tests/oracles/tileseek_scalar.py``); the two are byte-identical by
+contract -- same :class:`TileSeekResult` (config, assessment, stats,
+provenance) for every input.  See DESIGN.md §10 for the exactness
+argument.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.tileseek.evaluate import (
     TilingAssessment,
     assess_tiling,
     reward_for,
+    traffic_model,
 )
 from repro.tileseek.mcts import MCTSStats, mcts_search
 
@@ -243,25 +246,33 @@ class TileSeek:
         limit = resolve_budget(budget)
         unit_budget = Budget(limit) if limit is not None else None
         # The minimal (most conservative) assignment doubles as the
-        # reward-normalization reference; seed the evaluation cache
-        # with its assessment so it is never priced twice.
+        # reward-normalization reference; seed the reward memo with
+        # it so it is never priced twice.
         minimal = self._minimal_point(grid)
         minimal_cfg = self._config_from(minimal, fixed)
+        footprint = table2_footprint(
+            workload.model, fixed["m0"], fixed["rows"]
+        )
+        capacity = arch.buffer_words
         # If even the minimal tile overflows the buffer, monotonicity
         # says nothing in the grid fits: diagnose instead of
-        # searching.  Imported lazily -- diagnostics imports the
+        # searching.  The diagnosis compares the same Table-2 peak
+        # with the capacity, so it is imported only for a point that
+        # overflows.  Imported lazily -- diagnostics imports the
         # buffer model from this package, so a module-level import
         # would cycle through ``repro.resilience.__init__``.
-        from repro.resilience.diagnostics import diagnose_infeasible
+        if footprint(*minimal) > capacity:
+            from repro.resilience.diagnostics import (
+                diagnose_infeasible,
+            )
 
-        diagnosis = diagnose_infeasible(
-            workload.model,
-            arch.buffer_words,
-            m0=fixed["m0"],
-            rows=fixed["rows"],
-            cfg=minimal_cfg,
-        )
-        if diagnosis is not None:
+            diagnosis = diagnose_infeasible(
+                workload.model,
+                capacity,
+                m0=fixed["m0"],
+                rows=fixed["rows"],
+                cfg=minimal_cfg,
+            )
             # Imported lazily: the taxonomy lives in the runner layer,
             # which imports back into tileseek via serialization.
             from repro.runner.errors import InfeasiblePoint
@@ -274,40 +285,33 @@ class TileSeek:
             minimal_cfg, workload, arch
         )
         reference = reference_assessment.dram_words
-        cache: Dict[
-            Tuple[int, ...], Tuple[float, TilingAssessment]
-        ] = {
-            minimal: (
-                reward_for(
-                    reference_assessment, reference,
-                    self.reward_metric,
-                ),
-                reference_assessment,
+        # Leaves are priced from hoisted constants: the reward is
+        # ``reward_for(assess_tiling(cfg))`` -- 0 when the Table-2
+        # footprint overflows, else the reference over the traffic
+        # total -- without building a config or an assessment.  Only
+        # the winner is assessed in full, after the search.
+        traffic = traffic_model(workload, capacity)
+        rewards: Dict[Tuple[int, ...], float] = {
+            minimal: reward_for(
+                reference_assessment, reference, self.reward_metric
             )
         }
 
         def evaluate(assignment: Tuple[int, ...]) -> float:
-            entry = cache.get(assignment)
-            if entry is None:
-                cfg = self._config_from(assignment, fixed)
-                assessment = assess_tiling(cfg, workload, arch)
-                entry = (
-                    reward_for(
-                        assessment, reference, self.reward_metric
-                    ),
-                    assessment,
-                )
-                cache[assignment] = entry
-            return entry[0]
+            reward = rewards.get(assignment)
+            if reward is None:
+                if footprint(*assignment) > capacity:
+                    reward = 0.0
+                else:
+                    words = traffic(assignment[0], assignment[3])[0]
+                    reward = reference / words if words > 0 else 1.0
+                rewards[assignment] = reward
+            return reward
 
         # The minimal-completion prune, once per unique prefix over
         # the whole candidate level.  Levels ascend and Table 2 is
-        # monotone in every factor, so the first overflowing value
-        # ends the walk: every larger value overflows too.
-        footprint = table2_footprint(
-            workload.model, fixed["m0"], fixed["rows"]
-        )
-        capacity = arch.buffer_words
+        # monotone in every factor, so the feasible values form a
+        # prefix of the level: bisect for its end.
         viable_cache: Dict[Tuple[int, ...], List[int]] = {}
 
         def viable(
@@ -316,11 +320,17 @@ class TileSeek:
             values = viable_cache.get(prefix)
             if values is None:
                 tail = minimal[level + 1:]
-                values = []
-                for value in levels[level]:
-                    if footprint(*prefix, value, *tail) > capacity:
-                        break
-                    values.append(value)
+                candidates = levels[level]
+                low, high = 0, len(candidates)
+                while low < high:
+                    middle = (low + high) // 2
+                    if footprint(
+                        *prefix, candidates[middle], *tail
+                    ) > capacity:
+                        high = middle
+                    else:
+                        low = middle + 1
+                values = candidates[:low]
                 viable_cache[prefix] = values
             return values
 
@@ -356,7 +366,7 @@ class TileSeek:
         for index, candidate in enumerate(
             (incumbent,) + warm + predicted
         ):
-            if candidate not in cache:
+            if candidate not in rewards:
                 fresh += 1
             candidate_reward = evaluate(candidate)
             if candidate_reward > best_reward:
@@ -380,10 +390,13 @@ class TileSeek:
                     f"{arch.name} degraded to {provenance} and "
                     f"fallback is disabled (REPRO_NO_FALLBACK)"
                 )
-        # The winner was priced through the cache -- reuse its
-        # assessment instead of re-running the simulation step.
-        assessment = cache[best_assignment][1]
+        # Assess only the winner (the reference's assessment serves
+        # when the minimal point wins).
         config = self._config_from(best_assignment, fixed)
+        if best_assignment == minimal:
+            assessment = reference_assessment
+        else:
+            assessment = assess_tiling(config, workload, arch)
         return TileSeekResult(
             config=config,
             assessment=assessment,

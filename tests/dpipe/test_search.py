@@ -18,14 +18,22 @@ from repro.arch.pe import PEArrayKind
 from repro.dpipe.latency import LatencyTable
 from repro.dpipe.pipeline import ROOT, best_window_schedule, build_window
 from repro.dpipe.scheduler import dp_schedule
-from repro.dpipe.search import InternedProblem, fused_best_order
+from repro.dpipe.search import (
+    InternedProblem,
+    _FusedSearch,
+    fused_best_order,
+)
 from repro.graph.dag import ComputationDAG
 from repro.graph.partition import enumerate_bipartitions
 from repro.graph.toposort import (
     all_topological_orders,
     critical_path_order,
 )
-from tests.oracles.dpipe_legacy import legacy_window_schedule
+from tests.oracles.dpipe_legacy import (
+    _window_weights,
+    legacy_window_schedule,
+    walk_skipped_leaves,
+)
 
 TWO_D = PEArrayKind.ARRAY_2D
 ONE_D = PEArrayKind.ARRAY_1D
@@ -257,3 +265,161 @@ class TestSearchEdgeCases:
                     problem.tail_min[index[n]] for n in dag.nodes
                 ) if dag.nodes else 0.0
                 assert result.makespan >= root_tail - 1e-12
+
+
+def builder_windows():
+    """Every DAG the planner searches for the builder cascades: each
+    cascade's single-epoch DAG, its paired window and its bipartition
+    windows, taken from the planner's skeletons (the instances whose
+    structures the product memoises)."""
+    from repro.dpipe.options import DPipeOptions
+    from repro.dpipe.planner import _skeleton
+    from repro.einsum.builders import (
+        attention_cascade,
+        ffn_cascade,
+        layernorm_cascade,
+        qkv_cascade,
+    )
+
+    limit = DPipeOptions().max_bipartitions
+    for layer, cascade in (
+        ("qkv", qkv_cascade()),
+        ("qkv", qkv_cascade(kv_cost_fraction=0.25)),
+        ("mha", attention_cascade()),
+        ("mha", attention_cascade(masked=True)),
+        ("layernorm", layernorm_cascade()),
+        ("ffn", ffn_cascade()),
+        ("ffn", ffn_cascade("silu")),
+    ):
+        skeleton = _skeleton(cascade)
+        yield layer, cascade, "dag", skeleton.dag
+        yield layer, cascade, "paired", skeleton.paired
+        for part in skeleton.windows(limit):
+            yield layer, cascade, "window", part.window
+
+
+def placed_sets(problem):
+    """One prefix (ids) per set of nodes a DFS prefix can place."""
+    preds = problem.preds
+    seen = {0: ()}
+    frontier = [0]
+    while frontier:
+        deeper = []
+        for mask in frontier:
+            prefix = seen[mask]
+            for v in range(len(problem.names)):
+                bit = 1 << v
+                if mask & bit or any(
+                    not mask >> p & 1 for p in preds[v]
+                ):
+                    continue
+                if mask | bit not in seen:
+                    seen[mask | bit] = prefix + (v,)
+                    deeper.append(mask | bit)
+        frontier = deeper
+    return list(seen.values())
+
+
+def uniform_table(dag):
+    """Unit latencies on both arrays (the count ignores latencies)."""
+    from repro.dpipe.scheduler import _strip_epoch
+
+    bases = {_strip_epoch(n) for n in dag.nodes}
+    return LatencyTable(
+        seconds={(b, k): 1.0 for b in bases for k in (TWO_D, ONE_D)},
+        loads={b: 1.0 for b in bases},
+    )
+
+
+class TestSkippedLeafCount:
+    def test_memoised_count_consumes_the_cap_like_the_walk(self):
+        """For every prefix of every builder cascade's windows, the
+        memoised count of a pruned prefix's leaves spends the cap
+        exactly as the enumeration walk it replaces: same budget
+        left, same keep-going answer."""
+        checked = 0
+        for _, _, _, dag in builder_windows():
+            problem = InternedProblem(dag, uniform_table(dag),
+                                      zero_latency={ROOT})
+            for prefix in placed_sets(problem):
+                for limit, budget in (
+                    (1, 1), (7, 7), (48, 48), (48, 7), (48, 1),
+                ):
+                    search = _FusedSearch(problem, limit)
+                    search.order = list(prefix)
+                    search.budget = budget
+                    keep_going = search._count_skipped()
+                    assert (search.budget, keep_going) == (
+                        walk_skipped_leaves(problem, prefix, budget)
+                    ), (dag.nodes, prefix, limit, budget)
+                    checked += 1
+        assert checked > 10000
+
+    def test_count_is_memoised_on_the_structure(self):
+        dag = random_layered_dag(random.Random(5))
+        problem = InternedProblem(dag, random_table(random.Random(5),
+                                                    dag))
+        leaves = problem.structure.leaves(0, 48)
+        assert leaves == min(48, len(all_topological_orders(dag)))
+        assert problem.structure.extensions[48][0] == leaves
+        # A second table over the same DAG shares the memo.
+        again = InternedProblem(dag, random_table(random.Random(6),
+                                                  dag))
+        assert again.structure is problem.structure
+
+
+class TestCriticalPathIds:
+    @staticmethod
+    def _assert_same(window, table):
+        problem = InternedProblem(window, table, zero_latency={ROOT})
+        ids = problem.structure.critical_path(problem.tail_min)
+        assert tuple(problem.names[v] for v in ids) == (
+            critical_path_order(window, _window_weights(window, table))
+        )
+
+    def test_equals_critical_path_order_on_every_window(self):
+        """The id-space critical-path order equals
+        ``critical_path_order`` under ``_window_weights`` on every
+        builder cascade window, over several tiles per layer."""
+        from repro.arch.spec import cloud_architecture, edge_architecture
+        from repro.dpipe.latency import build_latency_table
+        from repro.model.config import named_model
+        from repro.sim.mapping import inner_tile_extents
+
+        checked = 0
+        for layer, cascade, kind, dag in builder_windows():
+            if kind != "window":
+                continue
+            for arch in (cloud_architecture(), edge_architecture()):
+                for model in ("bert", "llama3"):
+                    for seq in (8, 4096):
+                        extents = named_model(model).extents()
+                        extents.update({"p": seq, "m0": seq, "m1": 1})
+                        tile = inner_tile_extents(layer, extents,
+                                                  arch.array_2d)
+                        table = build_latency_table(cascade, layer,
+                                                    tile, arch)
+                        self._assert_same(dag, table)
+                        checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ties_break_by_name_on_random_windows(self, seed):
+        """Tie-heavy random latencies: equal tails fall back to the
+        name order, as ``critical_path_order`` sorts them.  Nodes are
+        renamed in shuffled order, so the name order is not the id
+        (insertion) order."""
+        rng = random.Random(7000 + seed)
+        layered = random_layered_dag(rng)
+        shuffled = [f"op{i}" for i in range(len(layered.nodes))]
+        rng.shuffle(shuffled)
+        rename = dict(zip(layered.nodes, shuffled))
+        dag = ComputationDAG(
+            nodes=tuple(rename[n] for n in layered.nodes),
+            edges=frozenset(
+                (rename[u], rename[v]) for u, v in layered.edges
+            ),
+        )
+        table = random_table(rng, dag)
+        for bipartition in enumerate_bipartitions(dag, limit=4):
+            self._assert_same(build_window(dag, bipartition), table)

@@ -19,7 +19,6 @@ from repro.dpipe.options import DPipeOptions
 from repro.dpipe.pipeline import (
     ROOT,
     WindowSchedule,
-    _window_weights,
     build_paired_window,
     build_window,
     subgraph_makespan,
@@ -33,6 +32,24 @@ from repro.graph.toposort import (
     all_topological_orders,
     critical_path_order,
 )
+
+
+def _window_weights(
+    window: ComputationDAG, table: LatencyTable
+) -> dict:
+    """Best-case (min-over-arrays) op latencies for the critical-path
+    heuristic order."""
+    return {
+        node: min(
+            table.latency(node.split(".", 1)[1], kind)
+            for kind in (
+                PEArrayKind.ARRAY_2D, PEArrayKind.ARRAY_1D,
+            )
+        )
+        if node != ROOT
+        else 0.0
+        for node in window.nodes
+    }
 
 
 def legacy_window_schedule(
@@ -277,3 +294,55 @@ def plan_cascade_legacy(
         if score(candidate) < score(best_plan):
             best_plan = candidate
     return best_plan
+
+
+def walk_skipped_leaves(problem, prefix, budget):
+    """The structural walk the fused search once ran to count a pruned
+    prefix's leaves against the ``max_orders`` cap, kept verbatim.
+
+    Replays ``prefix`` (ids) the way the DFS places nodes, then visits
+    every completion in enumeration order, spending one unit of
+    ``budget`` per leaf and stopping when it reaches zero.
+
+    Returns:
+        ``(budget left, keep going)``.
+    """
+    succs = problem.succs
+    indegree = [len(p) for p in problem.preds]
+    ready = [v for v in range(len(problem.names)) if indegree[v] == 0]
+    order = []
+    for v in prefix:
+        ready.remove(v)
+        order.append(v)
+        for s in succs[v]:
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                ready.append(s)
+    left = [budget]
+
+    def walk():
+        if len(order) == len(problem.names):
+            left[0] -= 1
+            return left[0] > 0
+        for i in range(len(ready)):
+            v = ready.pop(i)
+            order.append(v)
+            opened = []
+            for s in succs[v]:
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    opened.append(s)
+            ready.extend(opened)
+            keep_going = walk()
+            for s in opened:
+                ready.remove(s)
+            for s in succs[v]:
+                indegree[s] += 1
+            order.pop()
+            ready.insert(i, v)
+            if not keep_going:
+                return False
+        return True
+
+    keep_going = walk()
+    return left[0], keep_going

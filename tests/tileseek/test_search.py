@@ -11,7 +11,7 @@ from repro.tileseek.baseline_search import (
 )
 from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.evaluate import assess_tiling, reward_for
-from repro.tileseek.search import FACTOR_ORDER, TileSeek
+from repro.tileseek.search import FACTOR_ORDER, TileSeek, _tile_candidates
 from tests.oracles import tileseek_scalar
 from tests.oracles.tileseek_scalar import search_scalar
 
@@ -262,12 +262,13 @@ class TestSearchEfficiency:
         search_scalar(TileSeek(iterations=200, seed=1), workload, cloud)
         assert len(assessed) == len(set(assessed))
 
-    def test_batched_prune_one_call_per_unique_prefix(
+    def test_prune_bisection_probe_count(
         self, workload, cloud, monkeypatch
     ):
-        """The production viability oracle probes the Table-2
-        footprint once per candidate of each unique prefix, stopping
-        at the first overflow -- repeated prefixes hit the memo."""
+        """The production viability oracle bisects each ascending
+        candidate level once per unique prefix for the end of its
+        feasible prefix -- repeated prefixes hit the memo, and the
+        probe count is exactly the bisection's."""
         import repro.tileseek.search as search_module
 
         probes = [0]
@@ -289,16 +290,23 @@ class TestSearchEfficiency:
 
         def wrapped_mcts(levels, evaluate, **kwargs):
             inner = kwargs["viable"]
+            # Leaf pricing probes the footprint too; count the prune
+            # alone.
+            start = probes[0]
+            pruned = [0]
 
             def recording_viable(prefix, level):
+                before = probes[0]
                 values = inner(prefix, level)
+                pruned[0] += probes[0] - before
                 queries.append(prefix)
                 answers[prefix] = (len(values), len(levels[level]))
                 return values
 
             kwargs["viable"] = recording_viable
             stats = real_mcts(levels, evaluate, **kwargs)
-            during_search[0] = probes[0]
+            during_search[0] = pruned[0]
+            assert probes[0] - start > pruned[0]  # leaves probed too
             return stats
 
         monkeypatch.setattr(
@@ -309,21 +317,37 @@ class TestSearchEfficiency:
         )
         TileSeek(iterations=300, seed=0).search(workload, cloud)
         assert len(queries) > len(answers) > 0
-        # Kept values plus the one overflowing value that ended the
-        # walk, for each unique prefix the tree walk queried.
+
+        def bisection_probes(kept, offered):
+            low, high, count = 0, offered, 0
+            while low < high:
+                middle = (low + high) // 2
+                count += 1
+                if middle < kept:
+                    low = middle + 1
+                else:
+                    high = middle
+            return count
+
         expected = sum(
-            kept + (kept < offered)
+            bisection_probes(kept, offered)
             for kept, offered in answers.values()
         )
         assert during_search[0] == expected
+        # Fewer than the linear walk's kept values plus the first
+        # overflowing one.
+        assert expected < sum(
+            kept + (kept < offered)
+            for kept, offered in answers.values()
+        )
 
-    def test_batched_assessment_count_matches_scalar(
-        self, workload, cloud, monkeypatch
+    def test_assesses_only_reference_and_winner(
+        self, monkeypatch
     ):
-        """Production prices exactly the configurations the scalar
-        oracle's cache misses price, through the same
-        ``assess_tiling`` -- no duplicates, no extras, no other
-        pricing engine."""
+        """``assess_tiling`` runs at most twice per search: for the
+        minimal reference, then for the winner unless the minimal
+        point won.  Every other leaf is priced from hoisted
+        constants."""
         import repro.tileseek.search as search_module
 
         assessed = []
@@ -333,27 +357,139 @@ class TestSearchEfficiency:
             assessed.append(config)
             return real_assess(config, wl, arch)
 
-        for module in (search_module, tileseek_scalar):
-            monkeypatch.setattr(
-                module, "assess_tiling", recording_assess
-            )
-        search_scalar(TileSeek(iterations=200, seed=1), workload, cloud)
-        scalar_assessed = list(assessed)
-        assert scalar_assessed
-
+        monkeypatch.setattr(
+            search_module, "assess_tiling", recording_assess
+        )
+        searches = 0
+        for arch_name in ("cloud", "edge"):
+            arch = named_architecture(arch_name)
+            for seq_len, batch in ((512, 1), (16384, 64)):
+                workload = Workload(
+                    named_model("llama3"), seq_len=seq_len,
+                    batch=batch,
+                )
+                for budget in (None, 1, 40):
+                    assessed.clear()
+                    searcher = TileSeek(iterations=200, seed=1)
+                    result = searcher.search(
+                        workload, arch, budget=budget,
+                        # A fitting and an overflowing warm start.
+                        warm_start=(
+                            (1, 16, 1, 64, 16),
+                            (64, 8192, 64, 16384, 8192),
+                        ),
+                    )
+                    searches += 1
+                    grid = searcher.candidate_grid(workload, arch)
+                    minimal = searcher._config_from(
+                        searcher._minimal_point(grid),
+                        searcher.fixed_factors(arch),
+                    )
+                    expected = [minimal]
+                    if result.config != minimal:
+                        expected.append(result.config)
+                    assert assessed == expected
+                    assert result.assessment == real_assess(
+                        result.config, workload, arch
+                    )
+        assert searches == 12
+        # A spent budget on a one-token, one-sequence workload: the
+        # grid's only ``(b, p)`` is the minimal one, so the anchor
+        # incumbent is the minimal point, it wins, and the reference's
+        # assessment is reused.
         assessed.clear()
-        TileSeek(iterations=200, seed=1).search(workload, cloud)
-        assert len(assessed) == len(set(assessed))
-        assert len(assessed) == len(scalar_assessed)
-        assert set(assessed) == set(scalar_assessed)
+        arch = named_architecture("edge")
+        workload = Workload(named_model("llama3"), seq_len=1, batch=1)
+        searcher = TileSeek(iterations=200, seed=1)
+        result = searcher.search(
+            workload, arch, budget=0, allow_fallback=True
+        )
+        minimal = searcher._config_from(
+            searcher._minimal_point(
+                searcher.candidate_grid(workload, arch)
+            ),
+            searcher.fixed_factors(arch),
+        )
+        assert result.config == minimal
+        assert assessed == [minimal]
+
+    @pytest.mark.parametrize("model_name", sorted(MODEL_ZOO))
+    def test_hoisted_reward_equals_assessed_reward(
+        self, model_name, monkeypatch
+    ):
+        """Differential: every leaf a search prices -- plus a sample
+        of the whole grid, infeasible points included -- gets
+        exactly ``reward_for(assess_tiling(cfg))``, bit for bit."""
+        import random
+
+        import repro.tileseek.search as search_module
+
+        captured = {}
+        real_mcts = search_module.mcts_search
+
+        def capturing_mcts(levels, evaluate, **kwargs):
+            def recording(assignment):
+                reward = evaluate(assignment)
+                captured["priced"][assignment] = reward
+                return reward
+
+            captured.update(levels=levels, evaluate=evaluate)
+            return real_mcts(levels, recording, **kwargs)
+
+        monkeypatch.setattr(
+            search_module, "mcts_search", capturing_mcts
+        )
+        rng = random.Random(20)
+        checked = infeasible = 0
+        for arch_name in ("cloud", "edge", "edge32", "edge64"):
+            arch = named_architecture(arch_name)
+            for seq_len, batch, causal in (
+                (512, 1, False), (16384, 64, True), (1 << 20, 4, False),
+            ):
+                workload = Workload(
+                    named_model(model_name), seq_len=seq_len,
+                    batch=batch, causal=causal,
+                )
+                captured["priced"] = {}
+                searcher = TileSeek(iterations=120, seed=3)
+                searcher.search(workload, arch)
+                levels = captured["levels"]
+                fixed = searcher.fixed_factors(arch)
+                minimal = tuple(values[0] for values in levels)
+                reference = assess_tiling(
+                    searcher._config_from(minimal, fixed),
+                    workload, arch,
+                ).dram_words
+                priced = dict(captured["priced"])
+                assert priced
+                for _ in range(40):
+                    sample = tuple(rng.choice(v) for v in levels)
+                    priced[sample] = captured["evaluate"](sample)
+                for assignment, reward in priced.items():
+                    expected = reward_for(
+                        assess_tiling(
+                            searcher._config_from(assignment, fixed),
+                            workload, arch,
+                        ),
+                        reference,
+                    )
+                    assert reward.hex() == expected.hex(), (
+                        arch_name, seq_len, assignment
+                    )
+                    checked += 1
+                    infeasible += reward == 0.0
+        assert checked > 1000
+        assert infeasible > 0
 
 
 class TestEarlyExitPrune:
-    """The production viability oracle stops at the first overflowing
-    value of an ascending level.  Table 2 is monotone in every
+    """The production viability oracle bisects each ascending level
+    for the end of its feasible prefix.  Table 2 is monotone in every
     factor, so that must keep exactly what the scalar prune keeps --
     checked here for every prefix the search tree can reach, plus the
-    first rejected child of each (the far side of the boundary)."""
+    first rejected child of each (the far side of the boundary), at
+    batch 1 and, at batch 64, at a sequence length whose grid anchor
+    falls between grid values."""
 
     @pytest.mark.parametrize("model_name", sorted(MODEL_ZOO))
     def test_matches_scalar_prune_on_every_prefix(
@@ -372,15 +508,29 @@ class TestEarlyExitPrune:
             search_module, "mcts_search", capturing_mcts
         )
         checked = 0
-        for arch_name in ("cloud", "edge", "edge32", "edge64"):
+        arch_names = ("cloud", "edge", "edge32", "edge64")
+        # Batch 64 multiplies the reachable prefixes ~30x, so each
+        # model checks it on one architecture, rotating through all
+        # four across the models.
+        wide_arch = arch_names[sorted(MODEL_ZOO).index(model_name) % 4]
+        for arch_name in arch_names:
             arch = named_architecture(arch_name)
-            for seq_len in (512, 1 << 20):
+            workloads = [(512, 1), (1 << 20, 1)]
+            if arch_name == wide_arch:
+                workloads.append((65536, 64))
+            for seq_len, batch in workloads:
                 workload = Workload(
-                    named_model(model_name), seq_len=seq_len, batch=1
+                    named_model(model_name), seq_len=seq_len,
+                    batch=batch,
                 )
                 searcher = TileSeek(iterations=1)
                 searcher.search(workload, arch)
                 levels = captured["levels"]
+                if seq_len == 65536:
+                    # The anchor sits strictly between grid values.
+                    assert set(levels[3]) - set(_tile_candidates(
+                        1 << 14
+                    ))
                 viable = captured["viable"]
                 fixed = searcher.fixed_factors(arch)
                 minimal = tuple(values[0] for values in levels)
