@@ -332,51 +332,6 @@ def test_full_executor_run_speed(benchmark):
         assert benchmark.stats["mean"] < 1.0
 
 
-def test_learned_warm_start_units(perf_log):
-    """The learned-warm-start gate: on a held-out grid the predictor
-    must reach within 1% of the unwarmed optimum's reward in at most
-    half the search units the cold baseline needs.
-
-    The gate is unconditional (search units are deterministic, not
-    wall clock): fit on three t5/cloud sequence lengths, hold out two
-    interpolated ones, and compare units-to-near-optimum with vs.
-    without the predictions in the incumbent pool.
-    """
-    from repro.learn.corpus import record_for
-    from repro.learn.evaluate import evaluate_points
-    from repro.learn.predictor import KNNPredictor
-
-    arch = cloud_architecture()
-    model = named_model("t5")
-    fit_seqs = (128, 512, 2048)
-    held_out_seqs = (256, 1024)
-    searcher = TileSeek(iterations=400, seed=0)
-    records = []
-    for seq in fit_seqs:
-        workload = Workload(model, seq_len=seq, batch=4)
-        records.append(record_for(
-            workload, arch, searcher.search(workload, arch)
-        ))
-    predictor = KNNPredictor(records, k=3)
-    report = evaluate_points(predictor, [
-        (Workload(model, seq_len=seq, batch=4), arch)
-        for seq in held_out_seqs
-    ])
-    perf_log("learned_warm_start_units", {
-        "fit_seqs": list(fit_seqs),
-        "held_out_seqs": list(held_out_seqs),
-        "baseline_units": report["baseline_units"],
-        "learned_units": report["learned_units"],
-        "ratio": report["ratio"],
-        "tolerance": report["tolerance"],
-        "workload": "t5/cloud batch=4",
-    })
-    assert report["learned_units"] <= 0.5 * report["baseline_units"], (
-        f"learned warm start used {report['learned_units']} units "
-        f"vs. baseline {report['baseline_units']}"
-    )
-
-
 def test_sweep_cache_warm_speedup(benchmark, tmp_path):
     """A warm ``run_grid`` rerun must beat the cold run by >= 10x."""
     from repro.runner import GridPoint, run_grid

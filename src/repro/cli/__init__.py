@@ -1,8 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Each verb -- ``compare``, ``compile``, ``inspect``, ``stack``,
-``decode``, ``sweep``, ``validate``, ``plan``, ``serve``, ``fleet``,
-``learn``, ``cache``, ``figures`` -- lives in its own module,
+``decode``, ``sweep``, ``validate``, ``plan``, ``serve``, ``cache``,
+``figures`` -- lives in its own module,
 ``repro.cli.<verb>``, documented there and exposing
 ``add_arguments(parser)`` and ``run(args)``; the argument helpers
 verbs share live here.
@@ -39,14 +39,6 @@ VERBS = (
         "(locally or against a running server)"
     )),
     ("serve", "run the planning service (HTTP, or --stdio NDJSON)"),
-    ("fleet", (
-        "run K supervised serve replicas over one shared "
-        "cache with crash/wedge restarts"
-    )),
-    ("learn", (
-        "fit or evaluate the learned warm-start predictor "
-        "mined from the sweep corpus"
-    )),
     ("cache", (
         "inspect and maintain the persistent plan cache "
         "(stats, byte-budget gc, corruption scrub)"

@@ -1,10 +1,8 @@
 """``repro plan``: price one grid point through the serving protocol.
 
-Locally, against a running server (``--remote host:port``), or
-against a replica fleet (``--fleet host:port,...``: consistent-hash
-routing with typed failover retries).  With ``--json`` the canonical
-response body is printed verbatim, so local, remote and served
-answers are byte-comparable.
+Locally, or against a running server (``--remote host:port``).  With
+``--json`` the canonical response body is printed verbatim, so local,
+remote and served answers are byte-comparable.
 """
 
 from __future__ import annotations
@@ -56,13 +54,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="send the request to a running `repro serve` instead",
     )
     parser.add_argument(
-        "--fleet", default="", metavar="HOST:PORT,HOST:PORT",
-        help=(
-            "send the request to a replica fleet with "
-            "consistent-hash failover (see `repro fleet`)"
-        ),
-    )
-    parser.add_argument(
         "--id", default="", metavar="ID",
         help="correlation id echoed in the response envelope",
     )
@@ -86,7 +77,7 @@ def _plan_request(args: argparse.Namespace) -> ServeRequest:
 def run(args: argparse.Namespace) -> int:
     """Price one point through the serving protocol."""
     request = _plan_request(args)
-    if args.fleet or args.remote:
+    if args.remote:
         body = _forward(args, request)
         document = json.loads(body)
     else:
@@ -105,29 +96,19 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _forward(args: argparse.Namespace, request: ServeRequest) -> str:
-    """The response body from ``--fleet`` or ``--remote``.
+    """The response body from ``--remote``.
 
     A failed call answers with the typed error envelope a server
     would send, never a traceback.
     """
     # The client stack loads only when a request leaves the process.
     from repro.serve.client import (
-        fleet_call,
         parse_endpoint,
         remote_call,
         serve_request_to_dict,
     )
-    from repro.serve.router import parse_fleet
 
     wire = serve_request_to_dict(request)
-    if args.fleet:
-        try:
-            _, body, _ = fleet_call(parse_fleet(args.fleet), wire)
-        except SweepError as error:
-            body = canonical_body(
-                error_response(error, "plan", request.request_id)
-            )
-        return body
     host, port = parse_endpoint(args.remote)
     try:
         _, body = remote_call(host, port, wire)

@@ -95,7 +95,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     """Run the planning service (HTTP, or stdio with ``--stdio``)."""
     import asyncio
-    import time
 
     from repro.runner.cache import ENV_CACHE, ENV_CACHE_DIR
     from repro.runner.chain import resolve_jobs
@@ -131,14 +130,6 @@ def run(args: argparse.Namespace) -> int:
         port = env_int("REPRO_SERVE_PORT", "a TCP port", minimum=0)
     if port is None:
         port = 8734
-    # Deterministic replica-slow injection: delay *before* binding,
-    # so the supervisor's ready-line timeout sees a genuinely slow
-    # start (REPRO_FAULTS=replica-slow:...).
-    from repro.runner.faults import replica_slow_start_seconds
-
-    slow = replica_slow_start_seconds()
-    if slow > 0:
-        time.sleep(slow)
     try:
         if args.stdio:
             asyncio.run(serve_stdio(app))

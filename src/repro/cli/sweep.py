@@ -54,14 +54,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--learn", action="store_true",
-        help=(
-            "consult the learned warm-start predictor (the persisted "
-            "`repro learn fit` model) on cold searches; equivalent "
-            "to REPRO_LEARN=1 for this sweep"
-        ),
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help=(
             "per-chain timeout in seconds (default: REPRO_TIMEOUT, "
@@ -173,9 +165,8 @@ def run(args: argparse.Namespace) -> int:
             no_fallback=args.no_fallback,
             warm_start=args.warm_start,
         )
-        extra_env = {"REPRO_LEARN": "1"} if args.learn else None
         try:
-            document = execute_request(request, extra_env=extra_env)
+            document = execute_request(request)
         except (SweepError, RuntimeError) as error:
             document = error_response(error, "sweep")
         print(canonical_body(document))
@@ -205,7 +196,6 @@ def run(args: argparse.Namespace) -> int:
         resume=args.resume,
         budget=args.budget,
         no_fallback=args.no_fallback,
-        learn=True if args.learn else None,
     )
     rows = []
     for point, report in reports.items():

@@ -45,14 +45,12 @@ from repro.validate.config import validation_enabled
 
 # The ModelConfig itself keys the cache (frozen dataclass): two models
 # with the same *name* but different shapes must not share tilings.
-# Warm-start and learned assignments are part of the key: a
-# warm-started or prediction-seeded search is a different (possibly
-# better) search than a cold one -- and so is a budgeted or
-# fallback-disabled one (the trailing two elements).
+# Warm-start assignments are part of the key: a warm-started search
+# is a different (possibly better) search than a cold one -- and so
+# is a budgeted or fallback-disabled one (the trailing two elements).
 _TilingKey = Tuple[
     ModelConfig, int, int, int, bool, str, int, int,
-    Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...],
-    Optional[int], bool,
+    Tuple[Tuple[int, ...], ...], Optional[int], bool,
 ]
 _TILING_CACHE: Dict[_TilingKey, TileSeekResult] = {}
 
@@ -96,25 +94,6 @@ class TransFusionExecutor(ExecutorBase):
             tuple(int(v) for v in a) for a in assignments
         )
 
-    @staticmethod
-    def _learned_assignments(
-        workload: Workload, arch: ArchitectureSpec
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """Predicted assignments for this point, or ``()``.
-
-        Resolved before the memo lookup because predictions are part
-        of the tiling identity.  With ``REPRO_LEARN`` off this is a
-        single env check -- no model read, no key change, no byte of
-        output different from a tree without :mod:`repro.learn`.
-        """
-        # Imported lazily: repro.learn reaches back into the runner
-        # cache, which would cycle at module import time.
-        from repro.learn import learn_enabled, predictions_for
-
-        if not learn_enabled():
-            return ()
-        return predictions_for(workload, arch)
-
     def tiling(
         self, workload: Workload, arch: ArchitectureSpec
     ) -> TileSeekResult:
@@ -137,7 +116,6 @@ class TransFusionExecutor(ExecutorBase):
         warm = self._warm_start
         budget = resolve_budget()
         allow_fallback = fallback_enabled()
-        learned = self._learned_assignments(workload, arch)
         key: _TilingKey = (
             workload.model,
             workload.seq_len,
@@ -148,7 +126,6 @@ class TransFusionExecutor(ExecutorBase):
             self.tileseek_iterations,
             self.seed,
             warm,
-            learned,
             budget,
             allow_fallback,
         )
@@ -181,14 +158,11 @@ class TransFusionExecutor(ExecutorBase):
                 "warm_start": [list(a) for a in warm],
             }
             # Conditional keys: unbudgeted searches keep their
-            # pre-existing disk hashes, and so do searches without
-            # learned predictions (REPRO_LEARN off or no model).
+            # pre-existing disk hashes.
             if budget is not None:
                 payload["budget"] = budget
             if not allow_fallback:
                 payload["no_fallback"] = True
-            if learned:
-                payload["learned"] = [list(a) for a in learned]
             disk_key = stable_hash(payload)
             document = cache.get("tileseek", disk_key)
             if document is not None:
@@ -201,7 +175,6 @@ class TransFusionExecutor(ExecutorBase):
         result = searcher.search(
             workload, arch, warm_start=warm,
             budget=budget, allow_fallback=allow_fallback,
-            learned=learned,
         )
         if cache is not None:
             cache.put(

@@ -203,7 +203,6 @@ _FAILURE_FIELDS = {
     "CacheBrownout": ("path", "detail"),
     "JournalTruncation": ("path", "detail"),
     "ReplicaUnreachable": ("endpoint", "attempt", "detail"),
-    "FleetUnavailable": ("attempts",),
     "ServerOverloaded": ("inflight", "bound", "retry_after_ms"),
     "InfeasiblePoint": ("subject", "diagnosis", "point"),
 }

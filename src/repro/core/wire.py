@@ -1,7 +1,7 @@
 """Canonical JSON wire forms shared by the CLI, the server and caches.
 
 :func:`canonical_json` is the one rendering every byte-compared
-document goes through (response bodies, learned-corpus hashes), and
+document goes through (response bodies), and
 :func:`point_to_dict` is a grid point's wire form.  Kept apart from
 :mod:`repro.core.serialize`, which round-trips reports, plans, sweeps
 and audits: a plan answered from the disk cache renders its body

@@ -11,8 +11,7 @@ instead of dying:
   result carries.
 * :mod:`repro.resilience.ladder` -- the graceful-degradation ladder a
   budget-exhausted or empty search descends (warm-start reuse ->
-  learned prediction -> greedy Table-2-validated heuristic tiling ->
-  minimal mapping), and the rung classification recorded into plans
+  greedy Table-2-validated heuristic tiling -> minimal mapping), and the rung classification recorded into plans
   and reports.
 * :mod:`repro.resilience.diagnostics` -- typed infeasibility: when no
   tiling fits the Table-2 buffer model, a :class:`BufferDiagnosis`
@@ -35,8 +34,8 @@ _EXPORTS = {
         "BufferDiagnosis", "diagnose_infeasible",
     ),
     "repro.resilience.ladder": (
-        "RUNG_FIRST_ORDER", "RUNG_HEURISTIC", "RUNG_LEARNED",
-        "RUNG_MINIMAL", "RUNG_WARM_START", "classify_rung",
+        "RUNG_FIRST_ORDER", "RUNG_HEURISTIC", "RUNG_MINIMAL",
+        "RUNG_WARM_START", "classify_rung",
     ),
 }
 

@@ -7,16 +7,10 @@ fixed ladder instead of failing the point:
 1. ``warm_start`` -- reuse a caller-provided tiling from a neighbouring
    point (the sweep engine threads the previous seq-len's winner along
    each chain), re-validated against the Table-2 buffer model.
-2. ``learned`` -- a tiling predicted by the fitted corpus model
-   (:mod:`repro.learn`): the k-nearest-neighbour lookup over
-   normalized shape/arch features, evaluated as an extra incumbent
-   exactly like a warm start.  Sits above ``heuristic`` because a
-   prediction mined from real searches of similar shapes is a
-   stronger prior than the greedy divisor rule.
-3. ``heuristic`` -- the greedy divisor-based tiling: the largest
+2. ``heuristic`` -- the greedy divisor-based tiling: the largest
    feasible Q tile with minimal companion factors, found by the same
    monotone bound the pruner uses, so it is feasible by construction.
-4. ``minimal`` -- the minimal unfused mapping (every factor at its
+3. ``minimal`` -- the minimal unfused mapping (every factor at its
    grid floor), the most conservative point the space contains.
 
 Each rung is *deterministic* (no search, no randomness) and is always
@@ -33,49 +27,39 @@ from __future__ import annotations
 
 #: Rung 1: a warm-start tiling reused from a neighbouring point.
 RUNG_WARM_START = "warm_start"
-#: Rung 2: a tiling predicted by the fitted corpus model
-#: (:mod:`repro.learn`), evaluated exactly like a warm start.
-RUNG_LEARNED = "learned"
-#: Rung 3: greedy divisor-based heuristic tiling (largest feasible Q
+#: Rung 2: greedy divisor-based heuristic tiling (largest feasible Q
 #: tile, minimal companions), validated against Table 2.
 RUNG_HEURISTIC = "heuristic"
-#: Rung 4: the minimal unfused mapping -- every factor at its floor.
+#: Rung 3: the minimal unfused mapping -- every factor at its floor.
 RUNG_MINIMAL = "minimal"
 #: DPipe analogue: schedule the first topological order directly when
 #: the branch-and-bound DFS has no incumbent at budget exhaustion.
 RUNG_FIRST_ORDER = "first_order"
 
 #: Descent order; lower index = preferred (less degraded) rung.
-LADDER = (RUNG_WARM_START, RUNG_LEARNED, RUNG_HEURISTIC, RUNG_MINIMAL)
+LADDER = (RUNG_WARM_START, RUNG_HEURISTIC, RUNG_MINIMAL)
 
 
 def classify_rung(
     winner_index: int,
     n_warm: int,
     anchor_is_minimal: bool,
-    n_learned: int = 0,
 ) -> str:
     """Which ladder rung a winning fallback candidate belongs to.
 
     TileSeek evaluates its fallback candidates in a fixed order: the
-    heuristic anchor first, then each validated warm start, then each
-    validated learned prediction.  Given the index of the winner in
-    that sequence, classify it:
+    heuristic anchor first, then each validated warm start.  Given
+    the index of the winner in that sequence, classify it:
 
     Args:
-        winner_index: 0 for the anchor, ``1..n_warm`` for warm starts,
-            ``n_warm+1..n_warm+n_learned`` for learned predictions.
+        winner_index: 0 for the anchor, ``1..n_warm`` for warm starts.
         n_warm: How many validated warm starts were evaluated.
         anchor_is_minimal: Whether the heuristic anchor collapsed to
             the minimal mapping (no Q tile larger than the floor fits),
             in which case the "heuristic" rung is really "minimal".
-        n_learned: How many validated learned predictions were
-            evaluated (after the warm starts in the candidate order).
     """
     if 1 <= winner_index <= n_warm:
         return RUNG_WARM_START
-    if n_warm < winner_index <= n_warm + n_learned:
-        return RUNG_LEARNED
     if anchor_is_minimal:
         return RUNG_MINIMAL
     return RUNG_HEURISTIC

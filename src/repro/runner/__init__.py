@@ -22,10 +22,11 @@ fast, incremental and crash-safe:
 * :mod:`repro.runner.journal` -- a sweep journal checkpointing every
   completed point's cache key, so ``run_grid(..., resume=True)`` /
   ``sweep --resume`` skips finished work after a crash.
-* :mod:`repro.runner.pool` -- persistent, crash-respawning worker
-  pools (:class:`WorkerPool` / :class:`InlineWorkerPool`) factored
-  out for request serving (:mod:`repro.serve`), reusing the sweep
-  engine's worker initializer and wedged-worker kill discipline.
+* :mod:`repro.runner.pool` -- the process-pool lifecycle (start
+  method, worker initializer, wedged-worker kill discipline) the
+  sweep fan-out uses, plus persistent, crash-respawning worker pools
+  (:class:`WorkerPool` / :class:`InlineWorkerPool`) for request
+  serving (:mod:`repro.serve`).
 
 Warm-start hooks in :meth:`repro.tileseek.search.TileSeek.search` are
 fed by :func:`run_grid`'s per-chain threading of best assignments
@@ -50,8 +51,8 @@ _EXPORTS = {
         "SweepError", "WorkerCrash",
     ),
     "repro.runner.faults": (
-        "FaultPlan", "FaultRule", "active_plan", "backoff_seconds",
-        "parse_faults", "resolve_retries", "resolve_timeout",
+        "FaultPlan", "FaultRule", "active_plan", "parse_faults",
+        "resolve_retries", "resolve_timeout",
     ),
     "repro.runner.journal": (
         "SweepJournal", "default_journal_path", "point_fingerprint",

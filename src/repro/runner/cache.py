@@ -85,7 +85,7 @@ QUARANTINE_DIR = "quarantine"
 
 #: Monotonic per-process counter making quarantine filenames unique:
 #: two quarantines of the same entry name (same process or -- via the
-#: pid component -- concurrent replicas) never collide or clobber
+#: pid component -- concurrent processes) never collide or clobber
 #: each other's evidence.
 _quarantine_counter = itertools.count()
 
@@ -293,7 +293,7 @@ class PlanCache:
         how cost-model bugs hide.
 
         Quarantine filenames are ``<entry>.<pid>.<n>`` -- unique per
-        (process, call) -- so two replicas racing on the same corrupt
+        (process, call) -- so two processes racing on the same corrupt
         entry, or the same entry corrupted and quarantined twice,
         never clobber earlier evidence.  The loser of a race finds
         the entry already gone (the winner moved it) and reports
@@ -370,9 +370,7 @@ class PlanCache:
         try:
             plan = armed_faults()
             if plan:
-                from repro.runner.faults import io_context
-
-                rule = plan.fire_io(**io_context(write_index))
+                rule = plan.fire_io(write=write_index)
             path.parent.mkdir(parents=True, exist_ok=True)
             temp.write_text(
                 json.dumps(document, indent=2, sort_keys=True,

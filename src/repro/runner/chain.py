@@ -155,16 +155,6 @@ def report_cache_payload(
         payload["budget"] = budget
     if not fallback_enabled():
         payload["no_fallback"] = True
-    # A learn-enabled report depends on which fitted model seeded its
-    # searches, so its identity embeds the model's corpus hash
-    # (``None`` when enabled with no model fitted yet -- still a
-    # distinct artifact from the learn-off one, which keeps its
-    # pre-existing hash).  Imported lazily: repro.learn imports the
-    # corpus extractor, which imports this module.
-    from repro.learn import learn_enabled, model_signature
-
-    if learn_enabled():
-        payload["learn"] = model_signature()
     return payload
 
 

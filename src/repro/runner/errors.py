@@ -232,7 +232,7 @@ class CacheBrownout(SweepError, Warning):
 
     Doubles as a :class:`Warning`: ``ENOSPC``/``EDQUOT`` on a cache
     write must degrade (results are always recomputable), never
-    crash a sweep or a replica.  Raised as a warning when the cache
+    crash a sweep or a server.  Raised as a warning when the cache
     enters brownout -- writes are skipped, reads still serve, and a
     periodic probe re-tries the disk (see
     :class:`repro.runner.cache.PlanCache`).
@@ -252,7 +252,7 @@ class CacheBrownout(SweepError, Warning):
 class JournalTruncation(SweepError, Warning):
     """A JSONL journal ended in a torn (unparseable) trailing line.
 
-    A replica killed mid-append loses at most the line it was
+    A process killed mid-append loses at most the line it was
     writing; loaders skip the torn tail and surface this warning
     instead of raising -- the journal before the tear is intact and
     still trustworthy (every complete line was flushed and fsynced
@@ -272,16 +272,16 @@ class JournalTruncation(SweepError, Warning):
 
 
 class ReplicaUnreachable(SweepError):
-    """One fleet replica did not produce a response.
+    """A remote planning server did not produce a response.
 
-    Covers a refused connection (dead port), a per-attempt deadline
-    expiring against a wedged replica, and a connection dropped
-    mid-response (replica killed while writing) -- every network-ish
-    way a single attempt can fail without a structured body.
+    Covers a refused connection (dead port), a client deadline
+    expiring against a wedged server, and a connection dropped
+    mid-response (server killed while writing) -- every network-ish
+    way a ``plan --remote`` call can fail without a structured body.
 
     Args:
         endpoint: The ``host:port`` that failed.
-        attempt: 0-based failover attempt index.
+        attempt: 0-based attempt index.
         detail: The underlying ``OSError``-family message.
     """
 
@@ -336,34 +336,6 @@ class ServerOverloaded(SweepError):
             ServerOverloaded,
             (self.inflight, self.bound, self.retry_after_ms),
         )
-
-
-class FleetUnavailable(SweepError):
-    """Every failover attempt against a fleet failed.
-
-    Carries the per-attempt evidence so a client can report exactly
-    which replicas were tried and how each one failed.
-
-    Args:
-        attempts: ``(endpoint, detail)`` pairs in the order tried.
-    """
-
-    def __init__(self, attempts: Any) -> None:
-        attempts = tuple(
-            (str(endpoint), str(detail))
-            for endpoint, detail in attempts
-        )
-        described = "; ".join(
-            f"{endpoint}: {detail}" for endpoint, detail in attempts
-        )
-        super().__init__(
-            f"no fleet replica answered after {len(attempts)} "
-            f"attempt(s) ({described})"
-        )
-        self.attempts = attempts
-
-    def __reduce__(self):
-        return (FleetUnavailable, (self.attempts,))
 
 
 # ----------------------------------------------------------------------

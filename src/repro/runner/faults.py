@@ -16,10 +16,8 @@ them:
       spec    := rule (";" rule)*
       rule    := kind [":" field "=" value ("," field "=" value)*]
       kind    := "crash" | "hang" | "exit"
-               | "replica-kill" | "replica-hang" | "replica-slow"
                | "disk-full" | "slow-io" | "cache-evict"
-      field   := "chain" | "point" | "attempt" | "request"
-               | "replica" | "write" | "seconds"
+      field   := "chain" | "point" | "attempt" | "write" | "seconds"
 
   ``chain`` matches the chain index (grouping order of
   :func:`repro.runner.chain._chains`), ``point`` the global point
@@ -42,32 +40,11 @@ them:
     :class:`InjectedWorkerExit`, which the engine maps to
     :class:`WorkerCrash` so serial and parallel recover identically.
 
-  **Replica-level kinds** (fleet serving, :mod:`repro.serve.fleet`)
-  fire at *server* sites, not point boundaries: ``request`` matches
-  the replica's 0-based served-request count and ``replica`` the
-  replica index the supervisor assigns via ``REPRO_FLEET_INDEX``
-  (a rule naming ``replica=`` never fires in a process without an
-  index).  The chain-runner sites never fire replica rules and the
-  server sites never fire chain rules -- the two vocabularies are
-  disjoint by construction (:meth:`FaultPlan.fire` vs
-  :meth:`FaultPlan.fire_replica`):
-
-  - ``replica-kill`` kills the whole replica process with
-    ``os._exit`` as the matching request arrives -- the mid-storm
-    crash the fleet battery recovers from.
-  - ``replica-hang`` wedges the replica: the event loop sleeps
-    ``seconds`` before answering, so health probes and client
-    deadlines trip while the process stays alive.
-  - ``replica-slow`` delays replica *startup* by ``seconds`` before
-    the socket binds (slow-start detection in the supervisor).
-
   **IO-level kinds** (persistent cache, :mod:`repro.runner.cache`)
   fire at cache-*write* sites via :meth:`FaultPlan.fire_io`:
   ``write`` matches a :class:`~repro.runner.cache.PlanCache`
-  instance's 0-based write count, and ``replica`` matches like the
-  replica kinds (so a fleet test can starve one replica's disk).
-  The third disjoint vocabulary -- chain sites never consult io
-  kinds and vice versa:
+  instance's 0-based write count.  A disjoint vocabulary -- chain
+  sites never consult io kinds and vice versa:
 
   - ``disk-full`` raises ``OSError(ENOSPC)`` at the write site --
     the real brownout entry path, without filling a disk.
@@ -77,10 +54,7 @@ them:
     written -- a concurrent GC stealing the key between a ``put``
     and the next ``get``.
 
-Sweep retries re-run a failed chain at once.  ``backoff_seconds`` is
-the deterministic backoff of the fleet supervisor and the circuit
-breaker: it derives a jitter factor from a SHA-256 over (key,
-attempt), so reruns wait the same schedule.
+Sweep retries re-run a failed chain at once.
 
 Environment variables: ``REPRO_FAULTS`` (injection spec),
 ``REPRO_TIMEOUT`` (per-chain seconds, float) and ``REPRO_RETRIES``
@@ -91,7 +65,6 @@ getters in :mod:`repro.settings`, so malformed values raise
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -121,22 +94,14 @@ DEFAULT_HANG_SECONDS = 30.0
 #: boundaries via :meth:`FaultPlan.fire`.
 _CHAIN_KINDS = ("crash", "hang", "exit")
 
-#: Replica-site kinds, consulted by the serving layer via
-#: :meth:`FaultPlan.fire_replica` (and ``replica-slow`` at server
-#: startup).  Disjoint from the chain kinds so one spec can arm both
-#: vocabularies without either masking the other.
-_REPLICA_KINDS = ("replica-kill", "replica-hang", "replica-slow")
-
 #: IO-site kinds, consulted by the persistent cache's write sites
-#: via :meth:`FaultPlan.fire_io`.  Disjoint from both families
-#: above, so one spec can starve the disk mid-storm without
-#: shadowing chain or replica rules.
+#: via :meth:`FaultPlan.fire_io`.  Disjoint from the chain kinds, so
+#: one spec can starve the disk mid-storm without shadowing chain
+#: rules.
 _IO_KINDS = ("disk-full", "slow-io", "cache-evict")
 
-_FAULT_KINDS = _CHAIN_KINDS + _REPLICA_KINDS + _IO_KINDS
-_MATCH_FIELDS = (
-    "chain", "point", "attempt", "request", "replica", "write",
-)
+_FAULT_KINDS = _CHAIN_KINDS + _IO_KINDS
+_MATCH_FIELDS = ("chain", "point", "attempt", "write")
 
 
 @dataclass(frozen=True)
@@ -192,8 +157,8 @@ class FaultPlan:
     ) -> Optional[FaultRule]:
         """The first rule of one kind family firing at ``context``.
 
-        Chain sites only consult chain kinds and replica sites only
-        replica kinds, so arming ``replica-kill`` in a spec never
+        Chain sites only consult chain kinds and cache-write sites
+        only io kinds, so arming ``disk-full`` in a spec never
         shadows a later ``crash`` rule at a point boundary (and vice
         versa).
         """
@@ -233,34 +198,11 @@ class FaultPlan:
                 )
             os._exit(13)
 
-    def fire_replica(self, **context: int) -> None:
-        """Apply any replica rule matching the current server site.
-
-        Consulted by :meth:`repro.serve.app.ServeApp.handle` with
-        ``request`` (0-based served-request count) and -- when the
-        supervisor exported ``REPRO_FLEET_INDEX`` -- ``replica``.
-
-        ``replica-kill`` exits the whole process (exit code 23, the
-        fleet battery's marker); ``replica-hang`` sleeps ``seconds``
-        on the event-loop thread, wedging every in-flight connection
-        so probes and client deadlines trip; ``replica-slow`` is a
-        startup fault and is ignored at request sites (see
-        :func:`replica_slow_start_seconds`).
-        """
-        rule = self._matching_kind(_REPLICA_KINDS, context)
-        if rule is None or rule.kind == "replica-slow":
-            return
-        if rule.kind == "replica-hang":
-            time.sleep(rule.seconds)
-            return
-        os._exit(23)
-
     def fire_io(self, **context: int) -> Optional[FaultRule]:
         """Apply any io rule matching the current cache-write site.
 
         Consulted by :meth:`repro.runner.cache.PlanCache.put` with
-        ``write`` (the cache instance's 0-based write count) and --
-        under a fleet supervisor -- ``replica``.
+        ``write`` (the cache instance's 0-based write count).
 
         ``disk-full`` raises ``OSError(ENOSPC)`` so the *real*
         brownout path runs; ``slow-io`` sleeps ``seconds`` here and
@@ -356,60 +298,7 @@ def active_plan() -> FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Replica-site helpers (fleet serving)
-# ----------------------------------------------------------------------
-ENV_FLEET_INDEX = "REPRO_FLEET_INDEX"
-
-
-def replica_context(request: int) -> Dict[str, int]:
-    """The replica-site matcher context for one served request.
-
-    ``replica`` is only present when the supervisor exported
-    ``REPRO_FLEET_INDEX``, so a rule pinned to a replica index can
-    never fire in a standalone (un-supervised) server.
-    """
-    from repro.settings import env_int
-
-    context = {"request": request}
-    index = env_int(ENV_FLEET_INDEX, "a replica index", minimum=0)
-    if index is not None:
-        context["replica"] = index
-    return context
-
-
-def io_context(write: int) -> Dict[str, int]:
-    """The io-site matcher context for one cache write.
-
-    Like :func:`replica_context`, ``replica`` is only present when
-    the fleet supervisor exported ``REPRO_FLEET_INDEX``, so a rule
-    pinned to one replica's disk never fires elsewhere.
-    """
-    context = {"write": write}
-    index = env_int(ENV_FLEET_INDEX, "a replica index", minimum=0)
-    if index is not None:
-        context["replica"] = index
-    return context
-
-
-def replica_slow_start_seconds() -> float:
-    """How long an armed ``replica-slow`` rule delays server startup.
-
-    Consulted once by ``repro serve`` before binding the socket;
-    returns 0 when no ``replica-slow`` rule matches this process's
-    replica context (request count 0 -- startup happens before any
-    request is served).
-    """
-    plan = active_plan()
-    if not plan:
-        return 0.0
-    rule = plan._matching_kind(
-        ("replica-slow",), replica_context(0)
-    )
-    return rule.seconds if rule is not None else 0.0
-
-
-# ----------------------------------------------------------------------
-# Timeout / retry / backoff resolution
+# Timeout / retry resolution
 # ----------------------------------------------------------------------
 def resolve_timeout(
     timeout: Optional[float] = None,
@@ -435,19 +324,3 @@ def resolve_retries(retries: Optional[int] = None) -> int:
         )
     return retries
 
-
-def backoff_seconds(key: str, attempt: int, base: float) -> float:
-    """Deterministic backoff before retry ``attempt + 1``.
-
-    Exponential in the attempt with a seeded jitter factor in
-    [1, 2) derived from SHA-256 over ``(key, attempt)`` -- the same
-    key backs off the same way in every rerun.  A ``base`` <= 0
-    means no backoff.
-    """
-    if base <= 0:
-        return 0.0
-    digest = hashlib.sha256(
-        f"{key}:{attempt}".encode()
-    ).hexdigest()
-    jitter = 1.0 + int(digest[:8], 16) / 0xFFFFFFFF
-    return base * (2 ** attempt) * jitter

@@ -31,7 +31,7 @@ check makes an edited source tree recompute instead.)
 
 Appends are single ``write`` calls of complete lines, flushed and
 ``fsync``-ed before the file is closed, so a journal truncated by a
-crash (or a killed replica) loses at most its torn final line --
+crash (or a killed server) loses at most its torn final line --
 which the loaders skip with a
 :class:`~repro.runner.errors.JournalTruncation` warning instead of
 raising (see :func:`append_line` / :func:`warn_truncation`, shared

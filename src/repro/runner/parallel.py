@@ -101,11 +101,10 @@ from repro.runner.faults import resolve_retries, resolve_timeout
 from repro.runner.journal import SweepJournal, point_fingerprint
 from repro.runner.result import SweepResult
 
-# multiprocessing and concurrent.futures are imported where a sweep
-# first fans out: a serial sweep never needs them.
+# multiprocessing and concurrent.futures (through repro.runner.pool)
+# are imported where a sweep first fans out: a serial sweep never
+# needs them.
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.sim.stats import RunReport
 
 
@@ -119,11 +118,6 @@ def _cache_env(
     elif cache_dir is not None:
         env[ENV_CACHE_DIR] = str(cache_dir)
     return env
-
-
-def _worker_init(env: Dict[str, str]) -> None:
-    """Pool-worker initializer: point the worker at the sweep cache."""
-    os.environ.update(env)
 
 
 @dataclass
@@ -221,27 +215,6 @@ def _serial_outcomes(
 #: per-chain deadlines (to stamp the clock of chains that just left
 #: the queue and started executing).
 _DEADLINE_POLL_SECONDS = 0.25
-
-
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcefully terminate the workers of an abandoned pool.
-
-    ``shutdown(wait=False)`` alone is not enough when a worker is
-    genuinely hung: pool workers are non-daemon processes that
-    ``concurrent.futures`` joins at interpreter exit, so a wedged
-    worker would keep burning CPU alongside the respawned retry pool
-    and then stall process shutdown.  SIGKILL is safe here -- a
-    finished chain's results already crossed the result pipe, cache
-    writes are atomic (temp file + rename), and the lost chains are
-    re-run on a fresh pool -- but it cannot be trapped, so any
-    worker-side state outside those channels would be lost.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, ValueError, AttributeError):
-            pass
 
 
 def _harvest_future(
@@ -395,16 +368,18 @@ def _parallel_outcomes(
     (``BrokenProcessPool``) or abandoned (hung worker) pool never
     leaks into the next attempt; only the chains that were actually
     lost are resubmitted, and an abandoned pool's workers are
-    explicitly killed (see :func:`_kill_pool_workers`).
+    explicitly killed (see :func:`repro.runner.pool._kill_pool_workers`).
     """
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
+    from repro.runner.pool import (
+        _kill_pool_workers,
+        _pool_context,
+        _worker_init,
     )
+
+    context = _pool_context()
     preload_executors()
     pending: Dict[int, int] = {i: 0 for i in chain_ids}
     while pending:
@@ -502,7 +477,6 @@ def run_grid(
     resume: bool = False,
     budget: Optional[int] = None,
     no_fallback: bool = False,
-    learn: Optional[bool] = None,
 ) -> SweepResult:
     """Price a grid of points, optionally fanning out over processes.
 
@@ -546,10 +520,6 @@ def run_grid(
         no_fallback: Disable the graceful-degradation ladder
             (exported as ``REPRO_NO_FALLBACK``): a budget-exhausted
             search raises instead of returning a fallback plan.
-        learn: Consult the learned warm-start predictor
-            (:mod:`repro.learn`) on every cold tiling search
-            (exported as ``REPRO_LEARN``; ``None`` keeps any ambient
-            setting, ``False`` forces it off for this sweep).
 
     Returns:
         A :class:`SweepResult` -- a mapping ``{point: report}`` in
@@ -579,10 +549,6 @@ def run_grid(
         env[ENV_BUDGET] = str(budget)
     if no_fallback:
         env[ENV_NO_FALLBACK] = "1"
-    if learn is not None:
-        from repro.learn import ENV_LEARN
-
-        env[ENV_LEARN] = "1" if learn else "0"
     log: Optional[SweepJournal]
     if isinstance(journal, SweepJournal) or journal is None:
         log = journal

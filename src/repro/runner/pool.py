@@ -1,18 +1,19 @@
-"""Persistent worker pools: reuse sweep workers across requests.
+"""Process-pool lifecycle: start method, worker init, kill, reuse.
 
-:func:`repro.runner.parallel.run_grid` spins a fresh process pool per
-sweep -- the right call for a batch job, but a long-lived service
-(:mod:`repro.serve`) would pay pool startup and cold per-process
-memos on every request.  This module factors the pool lifecycle out
-of the sweep engine into two interchangeable wrappers:
+The pool primitives both process pools share live here:
+:func:`_pool_context` (fork when available), :func:`_worker_init`
+(replay environment overrides into each worker) and
+:func:`_kill_pool_workers` (kill *before* shutdown, which drops the
+process references).  :func:`repro.runner.parallel.run_grid` spins a
+fresh process pool per sweep round from them -- the right call for a
+batch job, but a long-lived service (:mod:`repro.serve`) would pay
+pool startup and cold per-process memos on every request.  So this
+module also offers two interchangeable reusable wrappers:
 
 * :class:`WorkerPool` -- a :class:`~concurrent.futures.\
   ProcessPoolExecutor` that survives worker crashes: a
   ``BrokenProcessPool`` (or a submit on a broken pool) triggers
-  :meth:`WorkerPool.respawn`, which kills the wedged workers
-  (reusing the sweep engine's
-  :func:`~repro.runner.parallel._kill_pool_workers` discipline --
-  kill *before* shutdown, which drops the process references) and
+  :meth:`WorkerPool.respawn`, which kills the wedged workers and
   builds a fresh pool with the same environment overrides.  The
   ``generation`` counter records every respawn.
 * :class:`InlineWorkerPool` -- the same interface over a
@@ -31,6 +32,7 @@ Both expose ``submit`` / ``respawn`` / ``close`` plus ``serial``,
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
@@ -44,11 +46,38 @@ from repro.runner.errors import SweepConfigError
 
 
 def _pool_context():
-    """The sweep engine's process start-method (fork when available)."""
+    """The process start-method of every pool (fork when available)."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None
     )
+
+
+def _worker_init(env: Dict[str, str]) -> None:
+    """Pool-worker initializer: replay the environment overrides
+    (cache location, budget, fault spec) into the worker."""
+    os.environ.update(env)
+
+
+def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
+    """Forcefully terminate the workers of an abandoned pool.
+
+    ``shutdown(wait=False)`` alone is not enough when a worker is
+    genuinely hung: pool workers are non-daemon processes that
+    ``concurrent.futures`` joins at interpreter exit, so a wedged
+    worker would keep burning CPU alongside the respawned retry pool
+    and then stall process shutdown.  SIGKILL is safe here -- a
+    finished chain's results already crossed the result pipe, cache
+    writes are atomic (temp file + rename), and the lost chains are
+    re-run on a fresh pool -- but it cannot be trapped, so any
+    worker-side state outside those channels would be lost.
+    """
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.kill()
+        except (OSError, ValueError, AttributeError):
+            pass
 
 
 class WorkerPool:
@@ -57,8 +86,8 @@ class WorkerPool:
     Args:
         jobs: Worker process count (>= 1).
         env: Environment overrides replayed into every worker at
-            (re)spawn via the sweep engine's ``_worker_init`` --
-            cache location, fault-injection spec, and so on.
+            (re)spawn via :func:`_worker_init` -- cache location,
+            fault-injection spec, and so on.
     """
 
     #: Jobs run in worker processes, not the parent.
@@ -80,8 +109,6 @@ class WorkerPool:
         preload_executors()
 
     def _spawn(self) -> ProcessPoolExecutor:
-        from repro.runner.parallel import _worker_init
-
         return ProcessPoolExecutor(
             max_workers=self.jobs,
             mp_context=_pool_context(),
@@ -112,8 +139,6 @@ class WorkerPool:
         surfaced -- every in-flight future on the dead pool has
         already raised ``BrokenProcessPool``).
         """
-        from repro.runner.parallel import _kill_pool_workers
-
         if self._pool is not None:
             _kill_pool_workers(self._pool)
             self._pool.shutdown(wait=False, cancel_futures=True)

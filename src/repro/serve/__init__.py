@@ -20,21 +20,9 @@ first:
   makes served plans byte-identical to cold CLI plans.
 * :mod:`repro.serve.journal` -- the append-only JSONL response
   journal CI uploads as an artifact (fsynced per line, so a killed
-  replica's journal replays cleanly).
-
-Fleet mode stacks three more pieces on top (``repro fleet``,
-``plan --fleet``):
-
-* :mod:`repro.serve.fleet` -- :class:`FleetSupervisor`: K replica
-  subprocesses over one shared plan cache, health-probed, restarted
-  with seeded backoff on crash or wedge.
-* :mod:`repro.serve.router` -- rendezvous-hash routing of request
-  fingerprints to replicas, so PR 7 coalescing keeps concentrating
-  per-point across the whole fleet.
-* :func:`repro.serve.client.fleet_call` -- the failover client:
-  walks the fingerprint's deterministic preference order with
-  per-attempt deadlines; typed
-  :class:`~repro.runner.errors.FleetUnavailable` when all fail.
+  server's journal replays cleanly).
+* :mod:`repro.serve.client` -- :func:`remote_call`, the thin HTTP
+  client behind ``plan --remote``.
 
 Execution happens on the reusable pools of
 :mod:`repro.runner.pool`; everything a response contains --
@@ -46,9 +34,8 @@ from repro._exports import export_names, lazy_exports
 
 _EXPORTS = {
     "repro.serve.app": ("ServeApp",),
-    "repro.serve.client": ("fleet_call", "remote_call"),
+    "repro.serve.client": ("remote_call",),
     "repro.serve.coalesce": ("Coalescer",),
-    "repro.serve.fleet": ("FleetSupervisor", "ReplicaProcess"),
     "repro.serve.journal": ("ServeJournal",),
     "repro.serve.lru": ("SaltedLRU",),
     "repro.serve.protocol": (
@@ -57,7 +44,6 @@ _EXPORTS = {
         "error_response", "execute_request", "parse_request",
         "request_fingerprint",
     ),
-    "repro.serve.router": ("parse_fleet", "preference_order", "route"),
     "repro.serve.transport": (
         "serve_http", "serve_stdio", "start_http_server",
     ),

@@ -66,7 +66,6 @@ from repro.runner.errors import (
     SweepError,
     WorkerCrash,
 )
-from repro.runner.faults import replica_context
 from repro.serve.coalesce import Coalescer
 from repro.serve.journal import ServeJournal
 from repro.serve.lru import SaltedLRU
@@ -85,14 +84,13 @@ from repro.serve.protocol import (
     sweep_response,
     validate_response,
 )
-from repro.settings import armed_faults, env_float, env_int
+from repro.settings import env_float, env_int
 
 ENV_SERVE_LRU = "REPRO_SERVE_LRU"
 ENV_SERVE_PRESSURE = "REPRO_SERVE_PRESSURE"
 ENV_SERVE_SHED_BUDGET = "REPRO_SERVE_SHED_BUDGET"
 ENV_SERVE_TIMEOUT = "REPRO_SERVE_TIMEOUT"
 ENV_SERVE_QUEUE = "REPRO_SERVE_QUEUE"
-ENV_SERVE_RETRY_MS = "REPRO_SERVE_RETRY_MS"
 
 #: Default LRU capacity (entries).
 DEFAULT_LRU_ENTRIES = 256
@@ -153,17 +151,6 @@ def resolve_queue_bound(
     return bound
 
 
-def resolve_retry_ms(base: Optional[int] = None) -> int:
-    """Base milliseconds of the deterministic ``retry_after_ms``
-    hint (``REPRO_SERVE_RETRY_MS``; default 100)."""
-    if base is not None:
-        return base
-    value = env_int(
-        ENV_SERVE_RETRY_MS, "a millisecond count", minimum=1
-    )
-    return DEFAULT_RETRY_MS if value is None else value
-
-
 def resolve_serve_timeout(
     timeout: Optional[float] = None,
 ) -> Optional[float]:
@@ -198,8 +185,8 @@ class ServeApp:
             only; see :func:`resolve_serve_timeout`).
         queue: Bounded-admission override (see
             :func:`resolve_queue_bound`; ``0`` disables).
-        retry_ms: Base of the ``retry_after_ms`` hint (see
-            :func:`resolve_retry_ms`).
+        retry_ms: Base of the ``retry_after_ms`` hint (default
+            :data:`DEFAULT_RETRY_MS`).
     """
 
     def __init__(
@@ -211,7 +198,7 @@ class ServeApp:
         shed_budget: Optional[int] = None,
         timeout: Optional[float] = None,
         queue: Optional[int] = None,
-        retry_ms: Optional[int] = None,
+        retry_ms: int = DEFAULT_RETRY_MS,
     ) -> None:
         self.pool = pool
         self.lru = (
@@ -224,15 +211,12 @@ class ServeApp:
         self.shed_budget = resolve_shed_budget(shed_budget)
         self.timeout = resolve_serve_timeout(timeout)
         self.queue = resolve_queue_bound(queue)
-        self.retry_ms = resolve_retry_ms(retry_ms)
+        self.retry_ms = retry_ms
         self.requests = 0
         self.searches = 0
         self.errors = 0
         self.shed = 0
         self.overloaded = 0
-        self.learn_consulted = 0
-        self.learn_predicted = 0
-        self.learn_saved = 0
         self._attempts: Dict[str, int] = {}
         self._inflight_searches = 0
         self._inflight_high_water = 0
@@ -249,15 +233,7 @@ class ServeApp:
         Every failure mode -- malformed JSON, schema violations,
         worker crashes, timeouts -- produces a structured error
         body; this coroutine never raises for request-shaped input.
-
-        Replica-level fault rules (``replica-kill`` /
-        ``replica-hang``) are consulted here, at the request
-        boundary, against the 0-based served-request count -- the
-        deterministic clock the fleet battery kills a replica on.
         """
-        plan = armed_faults()
-        if plan:
-            plan.fire_replica(**replica_context(self.requests))
         self.requests += 1
         try:
             if isinstance(document, (str, bytes)):
@@ -296,24 +272,6 @@ class ServeApp:
                 request.op, "lru", fingerprint=fingerprint,
             )
             return _stamp_id(cached, request_id)
-        # Genuine cold miss: consult the learned predictor.  A
-        # prediction lets the search spend fewer units for the same
-        # near-optimal plan, so the effective budget is tightened and
-        # -- like shedding -- becomes part of the response identity:
-        # the body is byte-identical to an explicit request at the
-        # tightened budget with REPRO_LEARN on.
-        budget, saved, learned = self._learn_budget(
-            anonymous, budget
-        )
-        if saved:
-            fingerprint = request_fingerprint(anonymous, budget)
-            cached = self.lru.get(fingerprint)
-            if cached is not None:
-                self._journal(
-                    request.op, "lru", fingerprint=fingerprint,
-                    learned=learned, saved=saved,
-                )
-                return _stamp_id(cached, request_id)
         leader, flight = self.coalescer.admit(fingerprint)
         if not leader:
             body = await flight
@@ -375,8 +333,6 @@ class ServeApp:
             status=status,
             provenance=json.loads(body).get("provenance"),
             shed=shed,
-            learned=learned,
-            saved=saved,
         )
         return _stamp_id(body, request_id)
 
@@ -415,60 +371,6 @@ class ServeApp:
         """
         overshoot = self._inflight_searches - (self.queue or 0)
         return self.retry_ms * min(overshoot + 1, MAX_RETRY_FACTOR)
-
-    def _learn_budget(
-        self, request: ServeRequest, budget: Optional[int]
-    ) -> Tuple[Optional[int], int, bool]:
-        """Tighten a cold miss's budget when a prediction exists.
-
-        Returns ``(effective budget, units saved, predicted)``.  Only
-        budgeted ``plan`` requests tighten (halved, floor 1): the
-        prediction sits in the search's incumbent pool uncharged, so
-        the tightened search still returns a plan at least as good as
-        the prediction.  Unbudgeted requests run complete searches --
-        the predictor can't save units there, so only the counters
-        move.  With ``REPRO_LEARN`` off this never consults anything
-        and the serve path is byte-identical to pre-learn behavior.
-        """
-        if request.op != "plan":
-            return budget, 0, False
-        from repro.learn import learn_enabled
-
-        if not learn_enabled():
-            return budget, 0, False
-        self.learn_consulted += 1
-        if not self._learn_predictions(request):
-            return budget, 0, False
-        self.learn_predicted += 1
-        if budget is None or budget <= 1:
-            return budget, 0, True
-        tightened = max(1, budget // 2)
-        saved = budget - tightened
-        self.learn_saved += saved
-        return tightened, saved, True
-
-    def _learn_predictions(
-        self, request: ServeRequest
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """The model's predictions for a plan request's point.
-
-        The workers re-derive the same predictions from the shared
-        cache when they execute the (tightened) request -- this
-        lookup only decides admission, it is never threaded into the
-        search by hand.
-        """
-        from repro.arch.spec import named_architecture
-        from repro.learn import predictions_for
-
-        point = request.points[0]
-        try:
-            return predictions_for(
-                point.workload(), named_architecture(point.arch)
-            )
-        except (KeyError, ValueError):
-            # Unknown model/arch names fail later with a typed error
-            # body; admission just declines to tighten.
-            return ()
 
     # ------------------------------------------------------------------
     # Execution on the worker pool
@@ -643,26 +545,14 @@ class ServeApp:
                 "overloaded": self.overloaded,
                 "high_water": self._inflight_high_water,
             }
-        # Conditional block: stats bodies keep their pre-learn bytes
-        # unless the predictor is actually switched on.
-        from repro.learn import learn_enabled
-
-        if learn_enabled():
-            document["learn"] = {
-                "consulted": self.learn_consulted,
-                "predicted": self.learn_predicted,
-                "saved": self.learn_saved,
-            }
         if request is not None and request.request_id is not None:
             document["id"] = request.request_id
         return document
 
     def health_response(self) -> Dict[str, Any]:
-        """The ``GET /healthz`` document -- the supervisor's probe
-        payload.
+        """The ``GET /healthz`` document -- the liveness probe payload.
 
-        Liveness plus the vitals the fleet supervisor records with
-        every probe: pool generation (how many times workers were
+        Liveness plus the vitals a probe can record: pool generation (how many times workers were
         respawned), in-flight search count, the LRU's
         hit/miss/eviction/invalidation counters, and the shared plan
         cache's disk pressure (bytes on disk against the configured
@@ -689,9 +579,8 @@ class ServeApp:
         """Disk usage + brownout state of the shared plan cache.
 
         Resolved from the serving process's environment -- the same
-        view the worker processes inherit -- so the supervisor's
-        probes see the disk pressure its replicas are actually
-        writing under.
+        view the worker processes inherit -- so a probe sees the disk
+        pressure the workers are actually writing under.
         """
         from repro.runner.cache import default_cache
 
@@ -720,8 +609,6 @@ class ServeApp:
         status: Optional[str] = None,
         provenance: Optional[str] = None,
         shed: bool = False,
-        learned: bool = False,
-        saved: int = 0,
     ) -> None:
         if self.journal is None:
             return
@@ -732,8 +619,6 @@ class ServeApp:
             provenance=provenance,
             generation=self.pool.generation,
             shed=shed,
-            learned=learned,
-            saved=saved,
         )
 
 

@@ -9,13 +9,12 @@ operational telemetry (CI uploads it as an artifact after the serve
 battery), never an input: response bytes are fully determined by the
 request, so journal timestamps do not threaten determinism.
 
-Crash safety (the fleet contract): every line is flushed and
-``fsync``-ed at write time through the sweep journal's
-:func:`~repro.runner.journal.append_line`, so a replica killed
-mid-storm loses at most the single line it was appending -- and
-:meth:`ServeJournal.load` skips that torn tail with a
-:class:`~repro.runner.errors.JournalTruncation` warning instead of
-raising, which is what lets the fleet battery audit a dead replica's
+Crash safety: every line is flushed and ``fsync``-ed at write time
+through the sweep journal's :func:`~repro.runner.journal.append_line`,
+so a server killed mid-storm loses at most the single line it was
+appending -- and :meth:`ServeJournal.load` skips that torn tail with
+a :class:`~repro.runner.errors.JournalTruncation` warning instead of
+raising, which is what lets a post-mortem audit a dead server's
 journal.
 """
 
@@ -57,16 +56,8 @@ class ServeJournal:
         provenance: Optional[str] = None,
         generation: Optional[int] = None,
         shed: bool = False,
-        learned: bool = False,
-        saved: int = 0,
     ) -> None:
-        """Append one response line (flushed and fsynced).
-
-        ``learned``/``saved`` record the learned-warm-start outcome
-        of a cold miss (prediction found / search units not spent);
-        like ``shed`` they are emitted only when set, so journals of
-        learn-off deployments keep their pre-learn line bytes.
-        """
+        """Append one response line (flushed and fsynced)."""
         self._lines += 1
         entry: Dict[str, Any] = {
             "v": JOURNAL_VERSION,
@@ -86,10 +77,6 @@ class ServeJournal:
             entry["generation"] = generation
         if shed:
             entry["shed"] = True
-        if learned:
-            entry["learned"] = True
-        if saved:
-            entry["saved"] = saved
         append_line(
             self.path, json.dumps(entry, sort_keys=True)
         )
@@ -98,10 +85,10 @@ class ServeJournal:
         """Every well-formed line, in append order.
 
         A missing file loads as empty.  A torn trailing line -- the
-        one a killed replica was mid-append on -- is skipped with a
+        one a killed server was mid-append on -- is skipped with a
         :class:`~repro.runner.errors.JournalTruncation` warning, so
-        post-mortem auditors (the fleet battery, the CI chaos job)
-        can always read everything the replica durably served.
+        post-mortem auditors (the CI chaos jobs) can always read
+        everything the server durably served.
         """
         return [
             entry for entry in tolerant_lines(self.path)

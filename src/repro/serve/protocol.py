@@ -626,10 +626,7 @@ def error_response(
     return document
 
 
-def execute_request(
-    request: ServeRequest,
-    extra_env: Optional[Mapping[str, str]] = None,
-) -> Dict[str, Any]:
+def execute_request(request: ServeRequest) -> Dict[str, Any]:
     """Execute one request inline (the CLI's local path).
 
     The single-process reference implementation of the server's
@@ -640,7 +637,7 @@ def execute_request(
     if request.op == "plan":
         results = execute_chain(
             list(request.points), False, request.budget,
-            request.no_fallback, 0, [0], 0, True, extra_env,
+            request.no_fallback, 0, [0], 0, True, None,
         )
         return plan_response(request, results)
     if request.op == "sweep":
@@ -649,7 +646,7 @@ def execute_request(
             execute_chain(
                 chain, request.warm_start, request.budget,
                 request.no_fallback, chain_id, indices[chain_id],
-                0, True, extra_env,
+                0, True, None,
             )
             for chain_id, chain in enumerate(chains)
         ]
@@ -660,7 +657,7 @@ def execute_request(
     if request.op == "validate":
         audit_document, report_document = execute_validate(
             request.points[0], request.budget,
-            request.no_fallback, extra_env,
+            request.no_fallback, None,
         )
         return validate_response(
             request, audit_document, report_document

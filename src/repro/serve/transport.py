@@ -8,8 +8,8 @@ Two ways to reach one :class:`~repro.serve.app.ServeApp`:
   returns the canonical response body (``200`` when ``ok``, ``400``
   for structured errors, ``503`` for bounded-admission overload
   rejections); ``GET /stats`` returns the live-counter
-  document; ``GET /healthz`` answers liveness probes with the fleet
-  supervisor's probe payload (pool generation, in-flight count, LRU
+  document; ``GET /healthz`` answers liveness probes with the
+  server's vitals (pool generation, in-flight count, LRU
   counters -- see :meth:`~repro.serve.app.ServeApp.health_response`).
   One request per connection (``Connection: close``) keeps the
   parser trivial and the tests honest.

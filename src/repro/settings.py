@@ -33,11 +33,6 @@ variable               meaning
                        unit budget once at search entry
 ``REPRO_NO_FALLBACK``  disable the graceful-degradation ladder
 ``REPRO_BENCH_STRICT`` fail benchmarks outside their paper bands
-``REPRO_LEARN``        consult the learned warm-start predictor on
-                       cold searches (default off; off is
-                       byte-identical to a tree without it)
-``REPRO_LEARN_K``      neighbors per learned prediction (int >= 1;
-                       default 3)
 =====================  ================================================
 
 Serving knobs (``repro serve``; resolved in :mod:`repro.serve.app`
@@ -59,47 +54,9 @@ variable                    meaning
                             typed ``ServerOverloaded`` body (int;
                             unset/0 means unbounded -- the
                             historical behavior)
-``REPRO_SERVE_RETRY_MS``    base of the deterministic
-                            ``retry_after_ms`` hint in overload
-                            rejections (int >= 1; default 100)
 ``REPRO_SERVE_HOST``        default bind host (default 127.0.0.1)
 ``REPRO_SERVE_PORT``        default bind port (default 8734)
 ==========================  ===========================================
-
-Fleet knobs (``repro fleet`` and the failover client; resolved in
-:mod:`repro.serve.fleet` and :mod:`repro.serve.client`):
-
-=============================  ========================================
-variable                       meaning
-=============================  ========================================
-``REPRO_FLEET_REPLICAS``       replica servers the supervisor runs
-                               (int >= 1; default 3)
-``REPRO_FLEET_PROBE_INTERVAL`` seconds between health probes
-                               (float > 0; default 1.0)
-``REPRO_FLEET_PROBE_TIMEOUT``  seconds before an unanswered probe
-                               marks a replica wedged (float > 0;
-                               default 5.0)
-``REPRO_FLEET_MAX_RESTARTS``   restarts per replica before it is
-                               abandoned (int >= 0; default 5)
-``REPRO_FLEET_BACKOFF``        base seconds of the seeded bounded
-                               restart backoff (float; default 0.1)
-``REPRO_FLEET_ATTEMPT_TIMEOUT`` per-attempt client deadline in
-                               seconds for failover calls (float > 0;
-                               default 30)
-``REPRO_FLEET_INDEX``          replica index, exported by the
-                               supervisor into each replica (int >=
-                               0; arms ``replica=`` fault matchers)
-``REPRO_FLEET_BREAKER``        consecutive unreachable attempts that
-                               open a replica's circuit breaker
-                               (int; 0 disables; default 3)
-``REPRO_FLEET_BREAKER_COOLDOWN`` base seconds an open breaker waits
-                               before its seeded half-open probe
-                               (float > 0; default 1.0)
-``REPRO_FLEET_RETRY_BUDGET``   overload retries per fleet call when
-                               a replica answers ``ServerOverloaded``
-                               with a ``retry_after_ms`` hint
-                               (int >= 0; default 2)
-=============================  ========================================
 """
 
 from __future__ import annotations
@@ -132,12 +89,6 @@ KNOWN_SETTINGS: Dict[str, Tuple[str, str]] = {
     "REPRO_DEADLINE": ("float", "advisory soft deadline in seconds"),
     "REPRO_NO_FALLBACK": ("bool", "disable the degradation ladder"),
     "REPRO_BENCH_STRICT": ("bool", "fail benchmarks out of band"),
-    "REPRO_LEARN": (
-        "bool", "learned warm-start predictor on/off"
-    ),
-    "REPRO_LEARN_K": (
-        "int", "neighbors per learned prediction"
-    ),
     "REPRO_SERVE_LRU": (
         "int", "serving response-body LRU capacity (entries)"
     ),
@@ -154,41 +105,8 @@ KNOWN_SETTINGS: Dict[str, Tuple[str, str]] = {
         "int", "bounded admission: in-flight searches before "
                "typed overload rejection"
     ),
-    "REPRO_SERVE_RETRY_MS": (
-        "int", "base milliseconds of the retry_after_ms hint"
-    ),
     "REPRO_SERVE_HOST": ("str", "default serve bind host"),
     "REPRO_SERVE_PORT": ("int", "default serve bind port"),
-    "REPRO_FLEET_REPLICAS": (
-        "int", "replica servers the fleet supervisor runs"
-    ),
-    "REPRO_FLEET_PROBE_INTERVAL": (
-        "float", "seconds between supervisor health probes"
-    ),
-    "REPRO_FLEET_PROBE_TIMEOUT": (
-        "float", "seconds before an unanswered probe means wedged"
-    ),
-    "REPRO_FLEET_MAX_RESTARTS": (
-        "int", "restarts per replica before it is abandoned"
-    ),
-    "REPRO_FLEET_BACKOFF": (
-        "float", "base seconds of the seeded restart backoff"
-    ),
-    "REPRO_FLEET_ATTEMPT_TIMEOUT": (
-        "float", "per-attempt client deadline for failover calls"
-    ),
-    "REPRO_FLEET_INDEX": (
-        "int", "replica index exported by the fleet supervisor"
-    ),
-    "REPRO_FLEET_BREAKER": (
-        "int", "consecutive failures that open a replica breaker"
-    ),
-    "REPRO_FLEET_BREAKER_COOLDOWN": (
-        "float", "base seconds before an open breaker half-opens"
-    ),
-    "REPRO_FLEET_RETRY_BUDGET": (
-        "int", "overload retries per fleet call"
-    ),
 }
 
 

@@ -196,7 +196,6 @@ class TileSeek:
         warm_start: Sequence[Sequence[int]] = (),
         budget: Optional[int] = None,
         allow_fallback: Optional[bool] = None,
-        learned: Sequence[Sequence[int]] = (),
     ) -> TileSeekResult:
         """Find the best feasible outer tiling for one fused layer.
 
@@ -217,14 +216,6 @@ class TileSeek:
             allow_fallback: Whether the degradation ladder may supply
                 the result when the budgeted search yields nothing
                 better; ``None`` defers to ``REPRO_NO_FALLBACK``.
-            learned: Optional predicted assignments (in
-                :data:`FACTOR_ORDER`) from the fitted corpus model
-                (:mod:`repro.learn`).  Treated exactly like warm
-                starts -- extra incumbents, never budget-charged --
-                but classified on their own ``learned`` ladder rung
-                when one supplies a budget-exhausted result.  Empty
-                (the default) leaves every byte of the search output
-                unchanged.
 
         Raises:
             InfeasiblePoint: When even the minimal configuration in
@@ -238,7 +229,6 @@ class TileSeek:
         fixed = self.fixed_factors(arch)
         levels = [grid[name] for name in FACTOR_ORDER]
         warm = self._validated_assignments(warm_start)
-        predicted = self._validated_assignments(learned)
         if allow_fallback is None:
             from repro.resilience.budget import fallback_enabled
 
@@ -348,11 +338,10 @@ class TileSeek:
         # Greedy incumbent: the anchor line (maximal feasible p with
         # minimal companions) is a strong known-good starting point;
         # never return anything worse than it.  Warm starts from
-        # adjacent searches and learned predictions join the same
-        # incumbent pool.  When a budget cut the MCTS short, these
-        # candidates double as the degradation ladder (anchor =
-        # ``heuristic`` rung, warm starts = ``warm_start``,
-        # predictions = ``learned``); they are deterministic, never
+        # adjacent searches join the same incumbent pool.  When a
+        # budget cut the MCTS short, these candidates double as the
+        # degradation ladder (anchor = ``heuristic`` rung, warm
+        # starts = ``warm_start``); they are deterministic, never
         # budget-charged, and feasible by construction/validation.
         anchor_p = max(
             viable((minimal[0], minimal[1], minimal[2]), 3),
@@ -364,7 +353,7 @@ class TileSeek:
         winner_index = -1  # the MCTS incumbent
         fresh = 0  # incumbents priced by a real evaluator call
         for index, candidate in enumerate(
-            (incumbent,) + warm + predicted
+            (incumbent,) + warm
         ):
             if candidate not in rewards:
                 fresh += 1
@@ -382,7 +371,6 @@ class TileSeek:
                 winner_index,
                 n_warm=len(warm),
                 anchor_is_minimal=anchor_p == minimal[3],
-                n_learned=len(predicted),
             ))
             if not allow_fallback:
                 raise RuntimeError(
@@ -416,8 +404,8 @@ class TileSeek:
     def _validated_assignments(
         assignments: Sequence[Sequence[int]],
     ) -> Tuple[Tuple[int, ...], ...]:
-        """Normalize warm-start/learned assignments, rejecting
-        malformed ones."""
+        """Normalize warm-start assignments, rejecting malformed
+        ones."""
         validated = []
         for raw in assignments:
             assignment = tuple(int(v) for v in raw)

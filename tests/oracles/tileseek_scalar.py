@@ -197,7 +197,6 @@ def search_scalar(
     warm_start: Sequence[Sequence[int]] = (),
     budget: Optional[int] = None,
     allow_fallback: Optional[bool] = None,
-    learned: Sequence[Sequence[int]] = (),
 ) -> TileSeekResult:
     """The scalar evaluation path (the differential oracle).
 
@@ -214,7 +213,6 @@ def search_scalar(
     fixed = self.fixed_factors(arch)
     levels = [grid[name] for name in FACTOR_ORDER]
     warm = self._validated_assignments(warm_start)
-    predicted = self._validated_assignments(learned)
     if allow_fallback is None:
         from repro.resilience.budget import fallback_enabled
 
@@ -316,11 +314,10 @@ def search_scalar(
     # Greedy incumbent: the anchor line (maximal feasible p with
     # minimal companions) is a strong known-good starting point;
     # never return anything worse than it.  Warm starts from
-    # adjacent searches and learned predictions join the same
-    # incumbent pool.  When a budget cut the MCTS short, these
-    # candidates double as the degradation ladder (anchor =
-    # ``heuristic`` rung, warm starts = ``warm_start``,
-    # predictions = ``learned``); they are deterministic, never
+    # adjacent searches join the same incumbent pool.  When a
+    # budget cut the MCTS short, these candidates double as the
+    # degradation ladder (anchor = ``heuristic`` rung, warm starts
+    # = ``warm_start``); they are deterministic, never
     # budget-charged, and feasible by construction/validation.
     anchor_p = max(
         (p for p in grid["p"] if not prune(
@@ -335,7 +332,7 @@ def search_scalar(
     winner_index = -1  # the MCTS incumbent
     fresh = 0  # incumbents priced by a real evaluator call
     for index, candidate in enumerate(
-        (incumbent,) + warm + predicted
+        (incumbent,) + warm
     ):
         if candidate not in cache:
             fresh += 1
@@ -353,7 +350,6 @@ def search_scalar(
             winner_index,
             n_warm=len(warm),
             anchor_is_minimal=anchor_p == min(grid["p"]),
-            n_learned=len(predicted),
         ))
         if not allow_fallback:
             raise RuntimeError(

@@ -355,7 +355,6 @@ def instance_payload(point, warm=()):
     the oracle: executor parameters read off a constructed executor
     instance rather than taken from the registry."""
     from repro.baselines.registry import named_executor
-    from repro.learn import learn_enabled, model_signature
     from repro.resilience.budget import fallback_enabled, resolve_budget
 
     executor = named_executor(point.executor)
@@ -377,8 +376,6 @@ def instance_payload(point, warm=()):
         payload["budget"] = budget
     if not fallback_enabled():
         payload["no_fallback"] = True
-    if learn_enabled():
-        payload["learn"] = model_signature()
     return payload
 
 

@@ -27,7 +27,6 @@ from repro.runner.errors import (
 )
 from repro.runner.faults import (
     active_plan,
-    backoff_seconds,
     parse_faults,
     resolve_retries,
     resolve_timeout,
@@ -145,20 +144,11 @@ class TestIoFaults:
 
     def test_io_kinds_never_fire_in_the_chain_path(self):
         plan = parse_faults("disk-full")
-        # A bare io rule must not crash sweep chains or replicas.
+        # A bare io rule must not crash sweep chains.
         plan.fire(serial=True, chain=0, point=0, attempt=0)
-        plan.fire_replica(request=0)
 
     def test_chain_kinds_never_fire_in_the_io_path(self):
         assert parse_faults("crash").fire_io(write=0) is None
-
-    def test_io_context_carries_replica_index(self, monkeypatch):
-        from repro.runner.faults import io_context
-
-        monkeypatch.delenv("REPRO_FLEET_INDEX", raising=False)
-        assert io_context(4) == {"write": 4}
-        monkeypatch.setenv("REPRO_FLEET_INDEX", "2")
-        assert io_context(4) == {"write": 4, "replica": 2}
 
 
 class TestTaxonomy:
@@ -263,14 +253,6 @@ class TestConfigResolution:
             resolve_retries()
         with pytest.raises(SweepConfigError):
             resolve_retries(-1)
-
-    def test_backoff_deterministic_and_bounded(self):
-        first = backoff_seconds("chain-0", 0, base=0.125)
-        assert first == backoff_seconds("chain-0", 0, base=0.125)
-        assert 0.125 <= first < 0.25
-        later = backoff_seconds("chain-0", 2, base=0.125)
-        assert 0.5 <= later < 1.0
-        assert backoff_seconds("chain-0", 0, base=0.0) == 0.0
 
 
 class TestSerialRecovery:

@@ -95,10 +95,10 @@ def test_load_round_trips_recorded_lines(tmp_path):
 
 
 def test_load_skips_torn_trailing_line(tmp_path):
-    """A replica killed mid-append leaves a torn tail; loading the
+    """A server killed mid-append leaves a torn tail; loading the
     journal recovers every durably written line with a warning, not
-    an exception -- hand-truncated regression for the fleet
-    post-mortem path."""
+    an exception -- hand-truncated regression for the post-mortem
+    path."""
     import pytest
 
     from repro.runner.errors import JournalTruncation

@@ -21,10 +21,8 @@ from repro.runner.pool import InlineWorkerPool
 from repro.serve.app import (
     DEFAULT_RETRY_MS,
     ENV_SERVE_QUEUE,
-    ENV_SERVE_RETRY_MS,
     ServeApp,
     resolve_queue_bound,
-    resolve_retry_ms,
 )
 from repro.serve.journal import ServeJournal
 from tests.serve.conftest import POINT, plan_request, run
@@ -92,13 +90,6 @@ class TestResolution:
         monkeypatch.setenv(ENV_SERVE_QUEUE, "0")
         assert resolve_queue_bound() is None
         assert resolve_queue_bound(0) is None
-
-    def test_retry_ms_resolution(self, monkeypatch):
-        monkeypatch.delenv(ENV_SERVE_RETRY_MS, raising=False)
-        assert resolve_retry_ms() == DEFAULT_RETRY_MS
-        monkeypatch.setenv(ENV_SERVE_RETRY_MS, "250")
-        assert resolve_retry_ms() == 250
-        assert resolve_retry_ms(40) == 40
 
     def test_bad_env_is_typed(self, monkeypatch):
         monkeypatch.setenv(ENV_SERVE_QUEUE, "many")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import socket
+import threading
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.serve.transport import (
     serve_stdio,
     start_http_server,
 )
-from repro.runner.errors import SweepConfigError
+from repro.runner.errors import ReplicaUnreachable, SweepConfigError
 from tests.serve.conftest import plan_request, run
 
 
@@ -357,3 +359,121 @@ class TestClient:
             app.close()
         assert status == 200
         assert json.loads(body)["ok"] is True
+
+
+def free_port():
+    """A port that was just free -- connecting to it gets refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TornServer:
+    """A socket-level imposter that drops every connection
+    mid-response: it reads the request, sends the head and half of
+    the promised body, and closes (a server killed mid-write)."""
+
+    def __init__(self):
+        self.listener = socket.socket()
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(4)
+        self.listener.settimeout(10)
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(
+            target=self._serve, daemon=True
+        )
+        self.thread.start()
+
+    @property
+    def endpoint(self):
+        return f"127.0.0.1:{self.port}"
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            with conn:
+                try:
+                    conn.settimeout(5)
+                    conn.recv(65536)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Length: 4096\r\n\r\n"
+                        b'{"ok": true, "but'
+                    )
+                except OSError:
+                    pass
+
+    def close(self):
+        self.listener.close()
+        self.thread.join(timeout=10)
+
+
+class TestCliRemoteFailures:
+    """``plan --remote`` against nothing, or against a server that
+    dies mid-response: typed error envelope on stdout (``--json``),
+    readable line on stderr, exit 1 -- never a traceback."""
+
+    def run_cli(self, argv, capsys):
+        from repro.cli import main
+
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def plan_argv(self, *extra):
+        return [
+            "plan", "--model", "t5", "--seq", "512",
+            "--arch", "cloud", "--batch", "4",
+            "--budget", "64", *extra,
+        ]
+
+    def test_remote_dead_port_json(self, capsys):
+        dead = f"127.0.0.1:{free_port()}"
+        code, out, err = self.run_cli(
+            self.plan_argv("--json", "--remote", dead), capsys
+        )
+        assert code == 1
+        document = json.loads(out)
+        assert document["ok"] is False
+        assert document["error"]["type"] == "ReplicaUnreachable"
+        assert document["error"]["endpoint"] == dead
+        assert document["error"]["attempt"] == 0
+
+    def test_remote_dead_port_human(self, capsys):
+        dead = f"127.0.0.1:{free_port()}"
+        code, out, err = self.run_cli(
+            self.plan_argv("--remote", dead), capsys
+        )
+        assert code == 1
+        assert "plan error: ReplicaUnreachable" in err
+        assert "Traceback" not in err
+
+    def test_remote_mid_response_drop_json(self, capsys):
+        """A torn response (``IncompleteRead``, an
+        ``HTTPException``) folds into the same typed envelope as a
+        dead port, not a traceback or a partial body."""
+        torn = TornServer()
+        try:
+            code, out, err = self.run_cli(
+                self.plan_argv("--json", "--remote", torn.endpoint),
+                capsys,
+            )
+        finally:
+            torn.close()
+        assert code == 1
+        document = json.loads(out)
+        assert document["ok"] is False
+        assert document["error"]["type"] == "ReplicaUnreachable"
+        assert document["error"]["endpoint"] == torn.endpoint
+        assert "IncompleteRead" in document["error"]["detail"]
+        assert "Traceback" not in err
+
+    def test_replica_unreachable_is_typed(self):
+        error = ReplicaUnreachable(
+            "127.0.0.1:9", 0, "ConnectionRefusedError: refused"
+        )
+        assert "127.0.0.1:9" in str(error)
+        assert error.attempt == 0

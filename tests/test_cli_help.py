@@ -25,7 +25,7 @@ SNAPSHOTS = Path(__file__).resolve().parent / "cli_help"
 
 VERBS = (
     "compare", "compile", "inspect", "stack", "decode", "sweep",
-    "validate", "plan", "serve", "fleet", "learn", "cache", "figures",
+    "validate", "plan", "serve", "cache", "figures",
 )
 
 CASES = (
@@ -33,8 +33,6 @@ CASES = (
     ["--help"],
     ["bogus"],
     *([verb, "--help"] for verb in VERBS),
-    ["learn", "fit", "--help"],
-    ["learn", "eval", "--help"],
     ["cache", "stats", "--help"],
     ["cache", "gc", "--help"],
     ["cache", "scrub", "--help"],

@@ -6,14 +6,14 @@ and reports ``sys.modules`` afterwards:
 * a warm local ``plan --json`` (a disk-cache hit) loads neither numpy
   nor the search stack;
 * a cold local ``plan`` loads the search stack but neither numpy nor
-  the serving stack (HTTP, asyncio, worker pools, the
-  learned-predictor corpus);
+  the serving stack (HTTP, asyncio, worker pools);
 * neither loads code no plan runs: other verbs' CLI modules, the
   sweep fan-out, the simulator's cross-validation models, and the
   fault-injection parser unless ``REPRO_FAULTS`` is set;
 * processes that fork workers -- ``make_pool`` and a parallel
   ``run_grid`` -- import the executor stack before forking, so no
-  worker pays for it again, and load no numpy.
+  worker pays for it again, and load no numpy;
+* a serial ``run_grid`` loads no process-pool machinery at all.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ OFF_PLAN = (
     *(
         f"repro.cli.{verb}" for verb in (
             "compare", "compile", "inspect", "stack", "decode",
-            "sweep", "validate", "serve", "fleet", "learn", "cache",
-            "figures",
+            "sweep", "validate", "serve", "cache", "figures",
         )
     ),
 )
@@ -62,9 +61,8 @@ WARM_FORBIDDEN = OFF_PLAN + (
 
 #: Modules a cold local plan must not load.
 COLD_FORBIDDEN = OFF_PLAN + (
-    "numpy", "repro.serve.app", "repro.serve.transport", "repro.serve.client",
-    "repro.serve.fleet", "repro.runner.pool", "repro.learn.corpus",
-    "asyncio", "http.client",
+    "numpy", "repro.serve.app", "repro.serve.transport",
+    "repro.serve.client", "repro.runner.pool", "asyncio", "http.client",
 )
 
 PLAN_PROBE = """
@@ -87,12 +85,13 @@ print(json.dumps(loaded))
 GRID_PROBE = """
 import json, sys
 from repro.runner import GridPoint, run_grid
+JOBS = int(sys.argv[1])
 points = [
     GridPoint(executor="unfused", model=model, seq_len=512,
               arch="cloud", batch=4)
     for model in ("t5", "bert")
 ]
-assert run_grid(points, jobs=2).ok
+assert run_grid(points, jobs=JOBS).ok
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -187,11 +186,19 @@ def test_make_pool_loads_no_numpy(tmp_path):
 def test_parallel_run_grid_preloads_the_executor_stack(tmp_path):
     # Only baseline executors run, so the TransFusion executor can
     # only be loaded by the pre-fork preload.
-    loaded = run_probe(GRID_PROBE, tmp_path)
+    loaded = run_probe(GRID_PROBE, tmp_path, "2")
     assert "repro.core.executor" in loaded
 
 
 def test_parallel_run_grid_loads_no_numpy(tmp_path):
-    assert "numpy" not in run_probe(GRID_PROBE, tmp_path)
+    assert "numpy" not in run_probe(GRID_PROBE, tmp_path, "2")
     loaded = run_probe(NUMPY_BLOCKED_GRID_PROBE, tmp_path)
     assert "repro.tileseek.search" in loaded
+
+
+def test_serial_run_grid_loads_no_pool_machinery(tmp_path):
+    loaded = run_probe(GRID_PROBE, tmp_path, "1")
+    assert "repro.runner.parallel" in loaded
+    assert not {
+        "multiprocessing", "concurrent.futures", "repro.runner.pool",
+    } & set(loaded)

@@ -35,9 +35,7 @@ MODULES = [
     "repro.cli.compile",
     "repro.cli.decode",
     "repro.cli.figures",
-    "repro.cli.fleet",
     "repro.cli.inspect",
-    "repro.cli.learn",
     "repro.cli.plan",
     "repro.cli.serve",
     "repro.cli.stack",
