@@ -8,6 +8,7 @@ worker pool behind a coalescing code-salt-keyed LRU.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.cli import positive_int
@@ -51,7 +52,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--pressure", type=int, default=None, metavar="N",
         help=(
             "in-flight searches at which load shedding starts "
-            "(default: REPRO_SERVE_PRESSURE, else 8; 0 disables)"
+            "(default 8; 0 disables)"
         ),
     )
     parser.add_argument(
@@ -59,7 +60,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "degraded search-unit budget applied while shedding "
-            "(default: REPRO_SERVE_SHED_BUDGET, else 4096)"
+            "(default 4096)"
         ),
     )
     parser.add_argument(
@@ -90,6 +91,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="disable the persistent plan cache in workers",
     )
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
 
 
 def run(args: argparse.Namespace) -> int:
@@ -130,6 +135,9 @@ def run(args: argparse.Namespace) -> int:
         port = env_int("REPRO_SERVE_PORT", "a TCP port", minimum=0)
     if port is None:
         port = 8734
+    # SIGTERM (a service manager's stop) shuts down like Ctrl-C: the
+    # pool's workers are joined by app.close() below, not orphaned.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         if args.stdio:
             asyncio.run(serve_stdio(app))
@@ -140,6 +148,7 @@ def run(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         app.close()
     return 0
 

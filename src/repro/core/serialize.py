@@ -342,20 +342,6 @@ def sweep_result_from_dict(document: Dict[str, Any]) -> Any:
     )
 
 
-def save_sweep_result(
-    result: Any, path: Union[str, Path]
-) -> Path:
-    """Write a sweep result to ``path`` as canonical JSON (key-sorted,
-    ``repr``-rendered floats -- byte-stable across processes)."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(sweep_result_to_dict(result), indent=2,
-                   sort_keys=True)
-        + "\n"
-    )
-    return path
-
-
 # ----------------------------------------------------------------------
 # TileSeekResult round-trip
 # ----------------------------------------------------------------------

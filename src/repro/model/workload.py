@@ -115,11 +115,6 @@ class Workload:
         return 2.0 * self.batch * self.seq_len * m.d_model * m.ffn_hidden
 
     @property
-    def layer_macs(self) -> float:
-        """Total MACs of one encoder layer."""
-        return self.qkv_macs + self.attention_macs + self.ffn_macs
-
-    @property
     def score_elements(self) -> float:
         """Live attention-score elements per layer (``B * H * P * M``
         scaled by the causal fraction)."""

@@ -22,11 +22,11 @@ fast, incremental and crash-safe:
 * :mod:`repro.runner.journal` -- a sweep journal checkpointing every
   completed point's cache key, so ``run_grid(..., resume=True)`` /
   ``sweep --resume`` skips finished work after a crash.
-* :mod:`repro.runner.pool` -- the process-pool lifecycle (start
-  method, worker initializer, wedged-worker kill discipline) the
-  sweep fan-out uses, plus persistent, crash-respawning worker pools
-  (:class:`WorkerPool` / :class:`InlineWorkerPool`) for request
-  serving (:mod:`repro.serve`).
+* :mod:`repro.runner.pool` -- the one process-pool lifecycle: a
+  crash-respawning :class:`WorkerPool` (and its in-process twin,
+  :class:`InlineWorkerPool`) that the sweep fan-out holds for a
+  whole sweep and request serving (:mod:`repro.serve`) for the life
+  of a server.
 
 Warm-start hooks in :meth:`repro.tileseek.search.TileSeek.search` are
 fed by :func:`run_grid`'s per-chain threading of best assignments

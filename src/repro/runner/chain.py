@@ -11,9 +11,13 @@ failure.  Everything that prices points goes through it: a local
 ``repro plan``, a served request (:mod:`repro.serve.protocol`) and
 each chain :func:`repro.runner.parallel.run_grid` fans out.
 
+Every caller of :func:`_run_chain` -- ``run_grid`` serial or pooled,
+``execute_request`` and ``ServeApp`` -- also shares its chain layout
+(:func:`chain_layout`) and failure taxonomy (:func:`chain_failure`).
+
 This module holds no process machinery.  Retries, journaling, pool
-fan-out and worker kill/respawn live in :mod:`repro.runner.parallel`,
-so a local plan loads none of them.
+fan-out and worker kill/respawn live in :mod:`repro.runner.parallel`
+and :mod:`repro.runner.pool`, so a local plan loads none of them.
 
 ``jobs`` resolution order (:func:`resolve_jobs`): explicit argument,
 then ``REPRO_JOBS``, then 1 (serial).
@@ -21,6 +25,7 @@ then ``REPRO_JOBS``, then 1 (serial).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -47,12 +52,14 @@ from repro.runner.cache import (
     workload_fingerprint,
 )
 from repro.runner.errors import (
+    ChainTimeout,
     InfeasiblePoint,
     InjectedHang,
     InjectedWorkerExit,
     PointFailure,
     SweepConfigError,
     SweepError,
+    WorkerCrash,
 )
 from repro.settings import armed_faults, env_int
 
@@ -243,6 +250,62 @@ def _chains(
         sorted(chain, key=lambda p: p.seq_len)
         for chain in grouped.values()
     ]
+
+
+def chain_layout(
+    points: Sequence[GridPoint],
+) -> Tuple[List[List[GridPoint]], List[List[int]]]:
+    """The chains of ``points`` and each chain point's input index.
+
+    Returns ``(chains, indices)``: per-family chains with sequence
+    lengths ascending (:func:`_chains`), and for each chain point the
+    position of its first occurrence in ``points`` -- the
+    fault-injection ``point=`` matcher space.
+    """
+    chains = _chains(points)
+    first_index: Dict[GridPoint, int] = {}
+    for position, point in enumerate(points):
+        first_index.setdefault(point, position)
+    indices = [
+        [first_index[point] for point in chain] for chain in chains
+    ]
+    return chains, indices
+
+
+def _is_broken_pool(error: BaseException) -> bool:
+    # A BrokenProcessPool can only exist once concurrent.futures has
+    # loaded, so a serial sweep never imports it just to ask.
+    process = sys.modules.get("concurrent.futures.process")
+    return process is not None and isinstance(
+        error, process.BrokenProcessPool
+    )
+
+
+def chain_failure(
+    error: BaseException,
+    chain: Sequence[GridPoint],
+    chain_id: int,
+    attempt: int,
+    timeout: Optional[float],
+) -> SweepError:
+    """Map an exception one chain raised to the sweep taxonomy.
+
+    An injected hang that gave up on its own is a timeout (``0.0``
+    seconds when no ``timeout`` was configured).  A
+    :class:`WorkerCrash` tells the caller its worker died, so the
+    pool must be abandoned and respawned.
+    """
+    if isinstance(error, InjectedHang):
+        return ChainTimeout(chain_id, timeout or 0.0, attempt)
+    if isinstance(error, InjectedWorkerExit) or _is_broken_pool(error):
+        return WorkerCrash(
+            chain_id, attempt, str(error) or type(error).__name__
+        )
+    if isinstance(error, SweepError):
+        return error
+    return PointFailure(
+        chain[0], chain_id, attempt, type(error).__name__, str(error)
+    )
 
 
 def _run_chain(

@@ -22,11 +22,13 @@ figure -- with four guarantees:
   (``REPRO_TIMEOUT``, measured from when the chain is first observed
   executing on its worker, so queue time is not charged and a hung
   early chain is detected while later chains keep finishing) and
-  bounded deterministic retries (``REPRO_RETRIES``); a crashed pool
-  worker (``BrokenProcessPool``) only re-runs the chains that were
-  lost with it, on a respawned pool, and the abandoned pool's
-  workers are killed so a genuinely hung search cannot keep burning
-  CPU or stall interpreter exit.  ``strict=False`` degrades gracefully: the returned
+  bounded deterministic retries (``REPRO_RETRIES``).  A parallel
+  sweep holds one :class:`~repro.runner.pool.WorkerPool` across all
+  its retry rounds; a crashed worker (``BrokenProcessPool``) or a
+  hung one only re-runs the chains that were lost with it, after
+  :meth:`~repro.runner.pool.WorkerPool.respawn` killed the abandoned
+  workers so a genuinely hung search cannot keep burning CPU or stall
+  interpreter exit.  ``strict=False`` degrades gracefully: the returned
   :class:`SweepResult` carries per-point status (``ok`` / ``failed``
   / ``timeout`` / ``skipped`` / ``infeasible``) and the partial
   reports instead of raising on the first failure.  A
@@ -48,18 +50,18 @@ similar problems.  Warm assignments are part of every cache key, so
 warm and cold sweeps never collide.
 
 Pricing one chain -- points, cache documents, warm-start threading,
-fault sites -- is :mod:`repro.runner.chain`; this module is the
-fan-out around it: retries, journaling and the process pool's
-kill/respawn discipline.
+fault sites, the chain layout and the failure taxonomy -- is
+:mod:`repro.runner.chain`; folding chain outcomes into a
+:class:`SweepResult` is :mod:`repro.runner.result`; the pool is
+:mod:`repro.runner.pool`.  This module is the fan-out around them:
+retries, journaling and per-chain deadlines.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -70,42 +72,35 @@ from typing import (
     Union,
 )
 
-from repro.baselines.registry import preload_executors
-from repro.core.serialize import failure_from_dict, report_from_dict
 from repro.resilience.budget import ENV_BUDGET, ENV_NO_FALLBACK
 from repro.runner.cache import ENV_CACHE, ENV_CACHE_DIR, default_cache
 from repro.runner.chain import (
     _INFEASIBLE_KEY,
     STATUS_FAILED,
-    STATUS_INFEASIBLE,
     STATUS_OK,
     STATUS_SKIPPED,
     STATUS_TIMEOUT,
     GridPoint,
-    _chains,
     _is_infeasible_document,
     _run_chain,
+    chain_failure,
+    chain_layout,
     resolve_jobs,
 )
 from repro.runner.errors import (
     ChainTimeout,
-    InfeasiblePoint,
-    InjectedHang,
-    InjectedWorkerExit,
-    PointFailure,
     SweepConfigError,
     SweepError,
     WorkerCrash,
 )
 from repro.runner.faults import resolve_retries, resolve_timeout
 from repro.runner.journal import SweepJournal, point_fingerprint
-from repro.runner.result import SweepResult
+from repro.runner.result import ChainOutcome, SweepResult, sweep_result
+from repro.settings import scoped_env
 
 # multiprocessing and concurrent.futures (through repro.runner.pool)
 # are imported where a sweep first fans out: a serial sweep never
 # needs them.
-if TYPE_CHECKING:
-    from repro.sim.stats import RunReport
 
 
 def _cache_env(
@@ -120,17 +115,6 @@ def _cache_env(
     return env
 
 
-@dataclass
-class _ChainOutcome:
-    """One chain's terminal state after retries."""
-
-    status: str
-    results: List[Tuple[Optional[str], Dict[str, Any]]] = field(
-        default_factory=list
-    )
-    error: Optional[SweepError] = None
-
-
 def _failure_status(error: SweepError) -> str:
     return (
         STATUS_TIMEOUT if isinstance(error, ChainTimeout)
@@ -141,11 +125,11 @@ def _failure_status(error: SweepError) -> str:
 def _journal_chain(
     journal: Optional[SweepJournal],
     chain: Sequence[GridPoint],
-    outcome: _ChainOutcome,
+    outcome: ChainOutcome,
     warm_start: bool,
 ) -> None:
     """Checkpoint a freshly completed chain's points."""
-    if journal is None or outcome.status != STATUS_OK:
+    if journal is None:
         return
     for point, (key, document) in zip(chain, outcome.results):
         if _is_infeasible_document(document):
@@ -165,7 +149,7 @@ def _serial_outcomes(
     timeout: Optional[float],
     strict: bool,
     journal: Optional[SweepJournal],
-    outcomes: List[Optional[_ChainOutcome]],
+    outcomes: List[Optional[ChainOutcome]],
 ) -> None:
     """Run the pending chains in-process, with retries.
 
@@ -177,9 +161,8 @@ def _serial_outcomes(
         chain = chains[chain_id]
         attempt = 0
         while True:
-            error: SweepError
             try:
-                outcome = _ChainOutcome(
+                outcome = ChainOutcome(
                     STATUS_OK,
                     results=_run_chain(
                         chain, warm_start, chain_id, attempt,
@@ -189,23 +172,16 @@ def _serial_outcomes(
                 outcomes[chain_id] = outcome
                 _journal_chain(journal, chain, outcome, warm_start)
                 break
-            except InjectedHang:
-                error = ChainTimeout(chain_id, timeout or 0.0, attempt)
-            except InjectedWorkerExit as exc:
-                error = WorkerCrash(chain_id, attempt, str(exc))
-            except SweepError as exc:
-                error = exc
             except Exception as exc:
-                error = PointFailure(
-                    chain[0], chain_id, attempt,
-                    type(exc).__name__, str(exc),
+                error = chain_failure(
+                    exc, chain, chain_id, attempt, timeout
                 )
             if attempt < retries:
                 attempt += 1
                 continue
             if strict:
                 raise error
-            outcomes[chain_id] = _ChainOutcome(
+            outcomes[chain_id] = ChainOutcome(
                 _failure_status(error), error=error
             )
             break
@@ -217,48 +193,6 @@ def _serial_outcomes(
 _DEADLINE_POLL_SECONDS = 0.25
 
 
-def _harvest_future(
-    chain_id: int,
-    future: Any,
-    chain: Sequence[GridPoint],
-    attempt: int,
-    timeout: Optional[float],
-    journal: Optional[SweepJournal],
-    warm_start: bool,
-    outcomes: List[Optional[_ChainOutcome]],
-    failures: Dict[int, SweepError],
-) -> bool:
-    """Fold one settled future into ``outcomes`` / ``failures``.
-
-    Returns whether the pool must be abandoned (its worker died).
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        outcome = _ChainOutcome(STATUS_OK, results=future.result())
-        outcomes[chain_id] = outcome
-        _journal_chain(journal, chain, outcome, warm_start)
-    except BrokenProcessPool as exc:
-        failures[chain_id] = WorkerCrash(
-            chain_id, attempt, str(exc) or type(exc).__name__
-        )
-        return True
-    except InjectedHang:
-        # The injected hang gave up on its own (no timeout was
-        # configured to preempt it); the worker is healthy again.
-        failures[chain_id] = ChainTimeout(
-            chain_id, timeout or 0.0, attempt
-        )
-    except SweepError as exc:
-        failures[chain_id] = exc
-    except Exception as exc:
-        failures[chain_id] = PointFailure(
-            chain[0], chain_id, attempt,
-            type(exc).__name__, str(exc),
-        )
-    return False
-
-
 def _collect_round(
     futures: Dict[int, Any],
     chains: Sequence[Sequence[GridPoint]],
@@ -266,7 +200,7 @@ def _collect_round(
     timeout: Optional[float],
     journal: Optional[SweepJournal],
     warm_start: bool,
-    outcomes: List[Optional[_ChainOutcome]],
+    outcomes: List[Optional[ChainOutcome]],
     failures: Dict[int, SweepError],
 ) -> Tuple[bool, List[int]]:
     """Settle one pool round's futures under per-chain deadlines.
@@ -315,11 +249,21 @@ def _collect_round(
             if future in done
         )
         for chain_id in settled:
-            abandoned |= _harvest_future(
-                chain_id, waiting.pop(chain_id), chains[chain_id],
-                attempts[chain_id], timeout, journal, warm_start,
-                outcomes, failures,
-            )
+            chain = chains[chain_id]
+            try:
+                outcome = ChainOutcome(
+                    STATUS_OK, results=waiting.pop(chain_id).result()
+                )
+            except Exception as exc:
+                failure = chain_failure(
+                    exc, chain, chain_id, attempts[chain_id], timeout
+                )
+                failures[chain_id] = failure
+                # A dead worker takes the pool down with it.
+                abandoned |= isinstance(failure, WorkerCrash)
+                continue
+            outcomes[chain_id] = outcome
+            _journal_chain(journal, chain, outcome, warm_start)
         if timeout is None:
             continue
         now = time.monotonic()
@@ -360,74 +304,63 @@ def _parallel_outcomes(
     journal: Optional[SweepJournal],
     jobs: int,
     env: Dict[str, str],
-    outcomes: List[Optional[_ChainOutcome]],
+    outcomes: List[Optional[ChainOutcome]],
 ) -> None:
-    """Fan the pending chains over a process pool, with recovery.
+    """Fan the pending chains over one process pool, with recovery.
 
-    Each retry round runs on a fresh pool, so a broken
-    (``BrokenProcessPool``) or abandoned (hung worker) pool never
-    leaks into the next attempt; only the chains that were actually
-    lost are resubmitted, and an abandoned pool's workers are
-    explicitly killed (see :func:`repro.runner.pool._kill_pool_workers`).
+    The pool lives for the whole sweep and is reused across retry
+    rounds.  A round that lost a worker (``BrokenProcessPool``, a hung
+    chain) or could not queue every chain respawns it before the next
+    round -- killing the abandoned workers -- so only the chains that
+    were actually lost are resubmitted.  Chains are submitted to the
+    executor directly, not through :meth:`WorkerPool.submit`: a broken
+    submit must not respawn the pool under chains already queued.
     """
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.runner.pool import (
-        _kill_pool_workers,
-        _pool_context,
-        _worker_init,
-    )
+    from repro.runner.pool import WorkerPool
 
-    context = _pool_context()
-    preload_executors()
     pending: Dict[int, int] = {i: 0 for i in chain_ids}
-    while pending:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)),
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(env,),
-        )
-        futures: Dict[int, Any] = {}
-        unsubmitted: List[int] = []
-        for chain_id, attempt in sorted(pending.items()):
-            try:
-                futures[chain_id] = pool.submit(
-                    _run_chain, chains[chain_id], warm_start,
-                    chain_id, attempt, indices[chain_id], False,
-                )
-            except BrokenProcessPool:
-                # A worker died before every chain was queued; the
-                # rest never ran, so they join the next round
-                # uncharged, like stranded chains.
-                unsubmitted.append(chain_id)
-        failures: Dict[int, SweepError] = {}
-        abandoned, stranded = _collect_round(
-            futures, chains, pending, timeout, journal, warm_start,
-            outcomes, failures,
-        )
-        stranded = sorted(stranded + unsubmitted)
-        if abandoned:
-            # Kill before shutdown(): shutdown drops the executor's
-            # process references, after which the workers could no
-            # longer be reached.
-            _kill_pool_workers(pool)
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-        attempts = pending
-        pending = {
-            chain_id: attempts[chain_id] for chain_id in stranded
-        }
-        for chain_id, error in sorted(failures.items()):
-            attempt = attempts[chain_id]
-            if attempt < retries:
-                pending[chain_id] = attempt + 1
-            elif strict:
-                raise error
-            else:
-                outcomes[chain_id] = _ChainOutcome(
-                    _failure_status(error), error=error
-                )
+    pool = WorkerPool(min(jobs, len(pending)), env)
+    try:
+        while pending:
+            futures: Dict[int, Any] = {}
+            unsubmitted: List[int] = []
+            for chain_id, attempt in sorted(pending.items()):
+                try:
+                    futures[chain_id] = pool.executor.submit(
+                        _run_chain, chains[chain_id], warm_start,
+                        chain_id, attempt, indices[chain_id], False,
+                    )
+                except BrokenProcessPool:
+                    # A worker died before every chain was queued;
+                    # the rest never ran, so they join the next round
+                    # uncharged, like stranded chains.
+                    unsubmitted.append(chain_id)
+            failures: Dict[int, SweepError] = {}
+            abandoned, stranded = _collect_round(
+                futures, chains, pending, timeout, journal,
+                warm_start, outcomes, failures,
+            )
+            if abandoned or unsubmitted:
+                pool.respawn()
+            attempts = pending
+            pending = {
+                chain_id: attempts[chain_id]
+                for chain_id in sorted(stranded + unsubmitted)
+            }
+            for chain_id, error in sorted(failures.items()):
+                attempt = attempts[chain_id]
+                if attempt < retries:
+                    pending[chain_id] = attempt + 1
+                elif strict:
+                    raise error
+                else:
+                    outcomes[chain_id] = ChainOutcome(
+                        _failure_status(error), error=error
+                    )
+    finally:
+        pool.close()
 
 
 def _resume_chain(
@@ -533,18 +466,12 @@ def run_grid(
         raise SweepConfigError(
             f"budget must be >= 1 search unit, got {budget}"
         )
-    chains = _chains(points)
-    first_index: Dict[GridPoint, int] = {}
-    for position, point in enumerate(points):
-        first_index.setdefault(point, position)
-    indices = [
-        [first_index[point] for point in chain] for chain in chains
-    ]
+    chains, indices = chain_layout(points)
     env = _cache_env(cache_dir, use_cache)
     # Budget knobs travel the same way the cache config does: set in
     # the parent (and restored on exit) for the serial path, and
-    # replayed into every pool worker by _worker_init -- so serial
-    # and parallel sweeps see identical settings.
+    # replayed into every pool worker -- so serial and parallel
+    # sweeps see identical settings.
     if budget is not None:
         env[ENV_BUDGET] = str(budget)
     if no_fallback:
@@ -554,10 +481,8 @@ def run_grid(
         log = journal
     else:
         log = SweepJournal(journal)
-    outcomes: List[Optional[_ChainOutcome]] = [None] * len(chains)
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
-    try:
+    outcomes: List[Optional[ChainOutcome]] = [None] * len(chains)
+    with scoped_env(env):
         completed = log.load() if (log and resume) else {}
         journaled_infeasible = (
             log.load_infeasible() if (log and resume) else {}
@@ -570,7 +495,7 @@ def run_grid(
                 warm_start,
             )
             if served is not None:
-                outcomes[chain_id] = _ChainOutcome(
+                outcomes[chain_id] = ChainOutcome(
                     STATUS_SKIPPED, results=served
                 )
             else:
@@ -587,42 +512,8 @@ def run_grid(
                     retries, timeout, strict, log, jobs, env,
                     outcomes,
                 )
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-    reports: Dict[GridPoint, RunReport] = {}
-    statuses: Dict[GridPoint, str] = {}
-    failures: Dict[GridPoint, SweepError] = {}
-    infeasible: Dict[GridPoint, InfeasiblePoint] = {}
-    for chain, outcome in zip(chains, outcomes):
-        assert outcome is not None
-        if outcome.status in (STATUS_OK, STATUS_SKIPPED):
-            for point, (_, document) in zip(chain, outcome.results):
-                if _is_infeasible_document(document):
-                    verdict = failure_from_dict(
-                        document[_INFEASIBLE_KEY]
-                    )
-                    if not isinstance(verdict, InfeasiblePoint):
-                        verdict = InfeasiblePoint(
-                            str(verdict), {}, point
-                        )
-                    infeasible[point] = verdict
-                    statuses[point] = STATUS_INFEASIBLE
-                else:
-                    reports[point] = report_from_dict(document)
-                    statuses[point] = outcome.status
-        else:
-            for point in chain:
-                statuses[point] = outcome.status
-                assert outcome.error is not None
-                failures[point] = outcome.error
-    ordered = list(dict.fromkeys(points))
-    result = SweepResult(
-        ordered, reports, statuses, failures, infeasible
-    )
+    assert all(outcome is not None for outcome in outcomes)
+    result = sweep_result(points, chains, outcomes)
     if strict:
         result.raise_if_failed()
     return result

@@ -1,21 +1,18 @@
-"""Process-pool lifecycle: start method, worker init, kill, reuse.
+"""Process-pool lifecycle: one crash-surviving pool, and its inline twin.
 
-The pool primitives both process pools share live here:
-:func:`_pool_context` (fork when available), :func:`_worker_init`
-(replay environment overrides into each worker) and
-:func:`_kill_pool_workers` (kill *before* shutdown, which drops the
-process references).  :func:`repro.runner.parallel.run_grid` spins a
-fresh process pool per sweep round from them -- the right call for a
-batch job, but a long-lived service (:mod:`repro.serve`) would pay
-pool startup and cold per-process memos on every request.  So this
-module also offers two interchangeable reusable wrappers:
+Every process pool in the package is a :class:`WorkerPool`:
+:func:`repro.runner.parallel.run_grid` holds one for a whole sweep
+(reused across retry rounds, respawned when a round lost a worker) and
+:class:`repro.serve.app.ServeApp` holds one for the life of a server.
+Two interchangeable wrappers:
 
 * :class:`WorkerPool` -- a :class:`~concurrent.futures.\
-  ProcessPoolExecutor` that survives worker crashes: a
-  ``BrokenProcessPool`` (or a submit on a broken pool) triggers
-  :meth:`WorkerPool.respawn`, which kills the wedged workers and
-  builds a fresh pool with the same environment overrides.  The
-  ``generation`` counter records every respawn.
+  ProcessPoolExecutor` (fork-started when the platform offers it,
+  each worker replaying the pool's environment overrides) that
+  survives worker crashes: :meth:`WorkerPool.respawn` kills the
+  workers *before* shutting the executor down (shutdown drops the
+  process references) and builds a fresh pool lazily on next use.
+  The ``generation`` counter records every respawn.
 * :class:`InlineWorkerPool` -- the same interface over a
   single-thread executor running jobs in the parent process.  Test
   harnesses use it for determinism (monkeypatched state is visible,
@@ -27,12 +24,16 @@ module also offers two interchangeable reusable wrappers:
 Both expose ``submit`` / ``respawn`` / ``close`` plus ``serial``,
 ``jobs``, ``generation`` and ``env`` -- the hooks
 :class:`repro.serve.app.ServeApp` multiplexes requests onto.
+:attr:`WorkerPool.executor` hands out the live executor itself, for a
+caller (the sweep fan-out) that must see a broken submit rather than
+have it respawn the pool under futures already queued.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
@@ -45,49 +46,14 @@ from repro.baselines.registry import preload_executors
 from repro.runner.errors import SweepConfigError
 
 
-def _pool_context():
-    """The process start-method of every pool (fork when available)."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-
-
-def _worker_init(env: Dict[str, str]) -> None:
-    """Pool-worker initializer: replay the environment overrides
-    (cache location, budget, fault spec) into the worker."""
-    os.environ.update(env)
-
-
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcefully terminate the workers of an abandoned pool.
-
-    ``shutdown(wait=False)`` alone is not enough when a worker is
-    genuinely hung: pool workers are non-daemon processes that
-    ``concurrent.futures`` joins at interpreter exit, so a wedged
-    worker would keep burning CPU alongside the respawned retry pool
-    and then stall process shutdown.  SIGKILL is safe here -- a
-    finished chain's results already crossed the result pipe, cache
-    writes are atomic (temp file + rename), and the lost chains are
-    re-run on a fresh pool -- but it cannot be trapped, so any
-    worker-side state outside those channels would be lost.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, ValueError, AttributeError):
-            pass
-
-
 class WorkerPool:
-    """A crash-surviving, reusable process pool for request serving.
+    """A crash-surviving, reusable process pool.
 
     Args:
         jobs: Worker process count (>= 1).
         env: Environment overrides replayed into every worker at
-            (re)spawn via :func:`_worker_init` -- cache location,
-            fault-injection spec, and so on.
+            (re)spawn -- cache location, budget, fault-injection
+            spec, and so on.
     """
 
     #: Jobs run in worker processes, not the parent.
@@ -108,17 +74,32 @@ class WorkerPool:
         # executor stack instead of each importing it again.
         preload_executors()
 
-    def _spawn(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=_pool_context(),
-            initializer=_worker_init,
-            initargs=(self.env,),
-        )
+    @staticmethod
+    def _init_worker(env: Dict[str, str]) -> None:
+        # Runs first in every worker: replay the overrides, and let
+        # SIGTERM kill the worker whatever handler the parent (say,
+        # ``repro serve``) installed before forking it.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.environ.update(env)
 
-    def _ensure(self) -> ProcessPoolExecutor:
+    @property
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, started on first use.
+
+        Its ``submit`` raises ``BrokenProcessPool`` on a dead pool
+        instead of respawning (contrast :meth:`submit`): the caller
+        decides when the futures already queued are lost.
+        """
         if self._pool is None:
-            self._pool = self._spawn()
+            methods = multiprocessing.get_all_start_methods()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context(
+                    "fork" if "fork" in methods else None
+                ),
+                initializer=WorkerPool._init_worker,
+                initargs=(self.env,),
+            )
         return self._pool
 
     def submit(
@@ -126,21 +107,33 @@ class WorkerPool:
     ) -> Future:
         """Submit one job, respawning first if the pool is broken."""
         try:
-            return self._ensure().submit(fn, *args)
+            return self.executor.submit(fn, *args)
         except BrokenProcessPool:
             self.respawn()
-            return self._ensure().submit(fn, *args)
+            return self.executor.submit(fn, *args)
 
     def respawn(self) -> None:
-        """Kill the current workers and start a fresh pool.
+        """Kill the current workers; the next use starts a fresh pool.
 
-        Safe to call on a healthy pool (a no-op for queued work would
-        lose it, so the serving layer only calls this after a crash
-        surfaced -- every in-flight future on the dead pool has
-        already raised ``BrokenProcessPool``).
+        Killing, not just ``shutdown(wait=False)``, is what frees a
+        genuinely hung worker: pool workers are non-daemon processes
+        that ``concurrent.futures`` joins at interpreter exit, so a
+        wedged one would keep burning CPU beside the fresh pool and
+        then stall process exit.  SIGKILL is safe here -- a finished
+        job's result already crossed the result pipe and cache
+        writes are atomic (temp file + rename) -- but every job still
+        queued or running on this pool is lost, so call it only once
+        those are settled or given up.  Kill before ``shutdown``:
+        shutdown drops the executor's process references.
         """
         if self._pool is not None:
-            _kill_pool_workers(self._pool)
+            for process in list(
+                (getattr(self._pool, "_processes", None) or {}).values()
+            ):
+                try:
+                    process.kill()
+                except (OSError, ValueError, AttributeError):
+                    pass
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
         self.generation += 1

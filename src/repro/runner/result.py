@@ -1,31 +1,107 @@
 """The outcome of one sweep, point by point.
 
 :class:`SweepResult` is what :func:`repro.runner.parallel.run_grid`
-returns and what a served ``sweep`` request assembles
-(:func:`repro.serve.protocol.assemble_sweep_result`): reports for the
+returns and what a served ``sweep`` request renders: reports for the
 points that completed plus a status, and a typed failure or
-infeasibility verdict, for every point.  A single ``plan`` never
-builds one, so it loads none of this.
+infeasibility verdict, for every point.  :func:`sweep_result` is the
+one place per-chain outcomes (:class:`ChainOutcome`) fold into a
+:class:`SweepResult`; the sweep engine passes whatever its chains
+ended as, and the serving layer passes all-``ok`` outcomes (a failed
+served chain becomes an error response before assembly).  A single
+``plan`` never builds one, so it loads none of this.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping as MappingABC
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
+
+from repro.core.serialize import failure_from_dict, report_from_dict
+from repro.runner.chain import (
+    _INFEASIBLE_KEY,
+    STATUS_INFEASIBLE,
+    STATUS_OK,
+    STATUS_SKIPPED,
+    _is_infeasible_document,
+)
+from repro.runner.errors import InfeasiblePoint
 
 if TYPE_CHECKING:
     from repro.runner.chain import GridPoint
-    from repro.runner.errors import InfeasiblePoint, SweepError
+    from repro.runner.errors import SweepError
     from repro.sim.stats import RunReport
+
+
+@dataclass
+class ChainOutcome:
+    """One chain's terminal state.
+
+    Attributes:
+        status: ``ok`` / ``skipped`` (served from a journal) carry
+            ``results``; ``failed`` / ``timeout`` carry ``error``.
+        results: The chain's ``(cache key, document)`` pairs, aligned
+            with its points.
+        error: The typed failure of a chain that did not complete.
+    """
+
+    status: str
+    results: List[Tuple[Optional[str], Dict[str, Any]]] = field(
+        default_factory=list
+    )
+    error: Optional[SweepError] = None
+
+
+def sweep_result(
+    points: Sequence[GridPoint],
+    chains: Sequence[Sequence[GridPoint]],
+    outcomes: Sequence[ChainOutcome],
+) -> SweepResult:
+    """Fold per-chain outcomes into one :class:`SweepResult`.
+
+    A completed chain's documents become reports, or ``infeasible``
+    verdicts for the points that carry one; every point of a failed
+    chain gets the chain's status and typed error.  Points keep their
+    input order, duplicates collapsed.
+    """
+    reports: Dict[GridPoint, RunReport] = {}
+    statuses: Dict[GridPoint, str] = {}
+    failures: Dict[GridPoint, SweepError] = {}
+    infeasible: Dict[GridPoint, InfeasiblePoint] = {}
+    for chain, outcome in zip(chains, outcomes):
+        if outcome.status in (STATUS_OK, STATUS_SKIPPED):
+            for point, (_, document) in zip(chain, outcome.results):
+                if _is_infeasible_document(document):
+                    verdict = failure_from_dict(
+                        document[_INFEASIBLE_KEY]
+                    )
+                    if not isinstance(verdict, InfeasiblePoint):
+                        verdict = InfeasiblePoint(
+                            str(verdict), {}, point
+                        )
+                    infeasible[point] = verdict
+                    statuses[point] = STATUS_INFEASIBLE
+                else:
+                    reports[point] = report_from_dict(document)
+                    statuses[point] = outcome.status
+        else:
+            assert outcome.error is not None
+            for point in chain:
+                statuses[point] = outcome.status
+                failures[point] = outcome.error
+    ordered = list(dict.fromkeys(points))
+    return SweepResult(ordered, reports, statuses, failures, infeasible)
 
 
 class SweepResult(MappingABC):

@@ -20,32 +20,34 @@ Design points:
   share one search and one body.
 * **Admission is where time dies.**  A ``deadline_s`` is folded to a
   deterministic search-unit budget before execution (PR 5
-  ``UNITS_PER_SECOND``); under queue pressure (too many in-flight
-  searches) the budget is tightened to the shed budget instead of
-  queueing unboundedly.  Behind the shedding ladder sits *bounded
-  admission* (``REPRO_SERVE_QUEUE``): when even shed-budget
-  searches exceed the bound, new searches are rejected with a typed
+  ``UNITS_PER_SECOND``).  Then one ladder: at ``pressure`` in-flight
+  searches a generous budget is shed to ``shed_budget`` units, and at
+  ``queue`` in-flight searches (``REPRO_SERVE_QUEUE``) new searches
+  are rejected with a typed
   :class:`~repro.runner.errors.ServerOverloaded` body carrying a
   deterministic ``retry_after_ms`` hint -- counted separately from
-  fault-path errors, journaled as ``overloaded``, and never cached.  The *effective* budget is reported in the
-  response's ``budget`` field and keys the LRU/coalescing
-  fingerprint, so a shed answer is byte-identical to an explicit
-  request at that budget and can never be served as a full-budget
-  one; shedding itself is visible in the ``stats`` counters and the
-  journal.
-* **Typed errors, never hangs.**  Worker crashes
-  (``BrokenProcessPool`` or the serial-mode
-  :class:`~repro.runner.errors.InjectedWorkerExit`) respawn the pool
-  and return a structured :class:`~repro.runner.errors.WorkerCrash`
-  response; injected hangs map to
-  :class:`~repro.runner.errors.ChainTimeout`; an optional wall-clock
-  ``REPRO_SERVE_TIMEOUT`` bounds worker-mode requests the same way.
-  Error bodies resolve coalesced followers but are never cached.
+  fault-path errors, journaled as ``overloaded``, and never cached.
+  The *effective* budget is reported in the response's ``budget``
+  field and keys the LRU/coalescing fingerprint, so a shed answer is
+  byte-identical to an explicit request at that budget and can never
+  be served as a full-budget one; shedding itself is visible in the
+  ``stats`` counters and the journal.
+* **Typed errors, never hangs.**  A failed chain maps to the sweep
+  taxonomy through the engine's own
+  :func:`~repro.runner.chain.chain_failure`; a
+  :class:`~repro.runner.errors.WorkerCrash` (``BrokenProcessPool`` or
+  the serial-mode :class:`~repro.runner.errors.InjectedWorkerExit`)
+  also respawns the pool.  An optional wall-clock
+  ``REPRO_SERVE_TIMEOUT`` bounds worker-mode requests as a
+  :class:`~repro.runner.errors.ChainTimeout`.  Error bodies resolve
+  coalesced followers but are never cached.
 * **Retries advance the fault clock.**  A per-fingerprint attempt
   counter feeds the ``REPRO_FAULTS`` ``attempt=`` matchers, so a
-  client retry of a crashed request runs as attempt 1 -- a
+  client retry of a failed request runs as attempt 1 -- a
   ``crash:attempt=0`` rule fires exactly once and the retry
-  succeeds, matching the sweep engine's retry semantics.
+  succeeds, matching the sweep engine's retry semantics.  A success
+  drops its fingerprint's counter, so the table holds only requests
+  whose last attempt failed.
 """
 
 from __future__ import annotations
@@ -53,17 +55,13 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.runner.cache import code_salt
+from repro.runner.chain import chain_failure, chain_layout
 from repro.runner.errors import (
     ChainTimeout,
-    InjectedHang,
-    InjectedWorkerExit,
-    PointFailure,
     ServerOverloaded,
-    SweepError,
     WorkerCrash,
 )
 from repro.serve.coalesce import Coalescer
@@ -72,7 +70,6 @@ from repro.serve.lru import SaltedLRU
 from repro.serve.protocol import (
     ServeProtocolError,
     ServeRequest,
-    assemble_sweep_result,
     canonical_body,
     error_response,
     execute_chain,
@@ -80,15 +77,12 @@ from repro.serve.protocol import (
     parse_request,
     plan_response,
     request_fingerprint,
-    sweep_chain_layout,
     sweep_response,
     validate_response,
 )
 from repro.settings import env_float, env_int
 
 ENV_SERVE_LRU = "REPRO_SERVE_LRU"
-ENV_SERVE_PRESSURE = "REPRO_SERVE_PRESSURE"
-ENV_SERVE_SHED_BUDGET = "REPRO_SERVE_SHED_BUDGET"
 ENV_SERVE_TIMEOUT = "REPRO_SERVE_TIMEOUT"
 ENV_SERVE_QUEUE = "REPRO_SERVE_QUEUE"
 
@@ -111,28 +105,6 @@ def resolve_lru_entries(capacity: Optional[int] = None) -> int:
         return capacity
     value = env_int(ENV_SERVE_LRU, "an entry count", minimum=0)
     return DEFAULT_LRU_ENTRIES if value is None else value
-
-
-def resolve_pressure(pressure: Optional[int] = None) -> int:
-    """Shedding threshold: in-flight searches at which budgets
-    tighten (``REPRO_SERVE_PRESSURE``; ``0`` disables shedding)."""
-    if pressure is not None:
-        return pressure
-    value = env_int(
-        ENV_SERVE_PRESSURE, "an in-flight search count", minimum=0
-    )
-    return DEFAULT_PRESSURE if value is None else value
-
-
-def resolve_shed_budget(budget: Optional[int] = None) -> int:
-    """The degraded unit budget applied under pressure
-    (``REPRO_SERVE_SHED_BUDGET``)."""
-    if budget is not None:
-        return budget
-    value = env_int(
-        ENV_SERVE_SHED_BUDGET, "a search unit budget", minimum=1
-    )
-    return DEFAULT_SHED_BUDGET if value is None else value
 
 
 def resolve_queue_bound(
@@ -177,10 +149,11 @@ class ServeApp:
             :class:`SaltedLRU` sized by ``REPRO_SERVE_LRU``.
         journal: Optional :class:`ServeJournal` recording every
             response.
-        pressure: Shedding threshold override (see
-            :func:`resolve_pressure`).
-        shed_budget: Degraded budget override (see
-            :func:`resolve_shed_budget`).
+        pressure: In-flight searches at which budgets are shed
+            (default :data:`DEFAULT_PRESSURE`; ``0`` disables
+            shedding).
+        shed_budget: The degraded unit budget applied while shedding
+            (default :data:`DEFAULT_SHED_BUDGET`).
         timeout: Wall-clock request bound override (worker pools
             only; see :func:`resolve_serve_timeout`).
         queue: Bounded-admission override (see
@@ -207,8 +180,12 @@ class ServeApp:
         )
         self.journal = journal
         self.coalescer = Coalescer()
-        self.pressure = resolve_pressure(pressure)
-        self.shed_budget = resolve_shed_budget(shed_budget)
+        self.pressure = (
+            DEFAULT_PRESSURE if pressure is None else pressure
+        )
+        self.shed_budget = (
+            DEFAULT_SHED_BUDGET if shed_budget is None else shed_budget
+        )
         self.timeout = resolve_serve_timeout(timeout)
         self.queue = resolve_queue_bound(queue)
         self.retry_ms = retry_ms
@@ -399,18 +376,13 @@ class ServeApp:
                     request, results[0], budget=budget
                 )
             elif request.op == "sweep":
-                chains, indices = sweep_chain_layout(
-                    request.points
-                )
+                chains, indices = chain_layout(request.points)
                 chain_results = await self._await_chains(
                     chains, indices, request.warm_start,
                     request, budget, attempt, extra_env,
                 )
-                result = assemble_sweep_result(
-                    request.points, chains, chain_results
-                )
                 document = sweep_response(
-                    request, result, budget=budget
+                    request, chains, chain_results, budget=budget
                 )
             else:
                 future = self.pool.submit(
@@ -423,14 +395,11 @@ class ServeApp:
                 document = validate_response(
                     request, audit_doc, report_doc, budget=budget,
                 )
-        except SweepError as error:
-            return canonical_body(
-                error_response(error, request.op)
-            ), False
         except Exception as error:
             return canonical_body(
                 error_response(error, request.op)
             ), False
+        self._attempts.pop(fingerprint)
         return canonical_body(document), True
 
     async def _await_chains(
@@ -459,9 +428,13 @@ class ServeApp:
         )
         for chain_id, outcome in enumerate(outcomes):
             if isinstance(outcome, BaseException):
-                raise self._typed_failure(
-                    outcome, chains[chain_id], chain_id, attempt
+                failure = chain_failure(
+                    outcome, chains[chain_id], chain_id, attempt,
+                    self.timeout,
                 )
+                if isinstance(failure, WorkerCrash):
+                    self.pool.respawn()
+                raise failure
         return list(outcomes)
 
     async def _bounded(
@@ -481,34 +454,6 @@ class ServeApp:
         except asyncio.TimeoutError:
             self.pool.respawn()
             raise ChainTimeout(0, self.timeout, attempt) from None
-
-    def _typed_failure(
-        self,
-        error: BaseException,
-        chain: List[Any],
-        chain_id: int,
-        attempt: int,
-    ) -> SweepError:
-        """Map one chain failure to the sweep-engine taxonomy,
-        respawning the pool when the worker died."""
-        if isinstance(error, BrokenProcessPool):
-            self.pool.respawn()
-            return WorkerCrash(
-                chain_id, attempt, "worker process died"
-            )
-        if isinstance(error, InjectedWorkerExit):
-            self.pool.respawn()
-            return WorkerCrash(chain_id, attempt, str(error))
-        if isinstance(error, InjectedHang):
-            return ChainTimeout(
-                chain_id, self.timeout or 0.0, attempt
-            )
-        if isinstance(error, SweepError):
-            return error
-        return PointFailure(
-            chain[0], chain_id, attempt,
-            type(error).__name__, str(error),
-        )
 
     # ------------------------------------------------------------------
     # Introspection

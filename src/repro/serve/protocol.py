@@ -35,21 +35,22 @@ any :class:`~repro.runner.errors.SweepError` serializes to a
 structured ``ok: false`` error response via the PR 3 failure
 round-trip.
 
-Execution wraps the sweep engine's chain runner
-(:func:`repro.runner.chain._run_chain`) inside an environment
-scope that pins the request's budget knobs (clearing any ambient
-``REPRO_BUDGET`` / ``REPRO_DEADLINE`` first), so a long-lived server
-process can serve differently-budgeted requests back to back without
-leakage -- and so the disk-cache keys the worker computes match the
-ones a budgeted CLI run would.
+Execution runs on the sweep engine's chain engine
+(:mod:`repro.runner.chain`): the same chain layout
+(:func:`~repro.runner.chain.chain_layout`), the same chain runner and
+the same result assembly (:func:`repro.runner.result.sweep_result`)
+as :func:`~repro.runner.parallel.run_grid`.  Each chain runs inside
+:func:`repro.settings.scoped_env`, pinning the request's budget knobs
+(clearing any ambient ``REPRO_BUDGET`` / ``REPRO_DEADLINE`` first), so
+a long-lived server process can serve differently-budgeted requests
+back to back without leakage -- and so the disk-cache keys the worker
+computes match the ones a budgeted CLI run would.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -74,14 +75,12 @@ from repro.runner.chain import (
     STATUS_INFEASIBLE,
     STATUS_OK,
     GridPoint,
-    _chains,
     _is_infeasible_document,
     _run_chain,
+    chain_layout,
 )
 from repro.runner.errors import SweepConfigError, SweepError
-
-if TYPE_CHECKING:
-    from repro.runner.result import SweepResult
+from repro.settings import scoped_env
 
 #: Protocol schema version, carried in every request and response.
 PROTOCOL_VERSION = 1
@@ -349,7 +348,7 @@ def canonical_body(document: Mapping[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # Execution (runs in a pool worker, or inline in the CLI process)
 # ----------------------------------------------------------------------
-def _scoped_env(
+def _request_env(
     budget: Optional[int],
     no_fallback: bool,
     extra_env: Optional[Mapping[str, str]],
@@ -371,30 +370,6 @@ def _scoped_env(
     return env
 
 
-class _EnvScope:
-    """Apply/restore a ``{name: value-or-None}`` environment patch."""
-
-    def __init__(self, env: Mapping[str, Optional[str]]) -> None:
-        self._env = dict(env)
-        self._saved: Dict[str, Optional[str]] = {}
-
-    def __enter__(self) -> "_EnvScope":
-        for key, value in self._env.items():
-            self._saved[key] = os.environ.get(key)
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        for key, value in self._saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def execute_chain(
     chain: Sequence[GridPoint],
     warm_start: bool,
@@ -414,7 +389,7 @@ def execute_chain(
     byte-identical to a CLI one.  Returns the chain's
     ``(cache key, serialized document)`` pairs.
     """
-    with _EnvScope(_scoped_env(budget, no_fallback, extra_env)):
+    with scoped_env(_request_env(budget, no_fallback, extra_env)):
         return _run_chain(
             chain, warm_start, chain_index, attempt,
             indices, serial,
@@ -434,71 +409,9 @@ def execute_validate(
     )
     from repro.validate.runner import validate_point
 
-    with _EnvScope(_scoped_env(budget, no_fallback, extra_env)):
+    with scoped_env(_request_env(budget, no_fallback, extra_env)):
         audit, report = validate_point(point)
     return audit_report_to_dict(audit), report_to_dict(report)
-
-
-def sweep_chain_layout(
-    points: Sequence[GridPoint],
-) -> Tuple[List[List[GridPoint]], List[List[int]]]:
-    """The sweep engine's chain grouping for a request's points.
-
-    Returns ``(chains, indices)`` exactly as :func:`run_grid` derives
-    them -- per-family chains with sequence lengths ascending, and
-    each chain point's first global input index (the fault-injection
-    ``point=`` matcher space).
-    """
-    chains = _chains(points)
-    first_index: Dict[GridPoint, int] = {}
-    for position, point in enumerate(points):
-        first_index.setdefault(point, position)
-    indices = [
-        [first_index[point] for point in chain] for chain in chains
-    ]
-    return chains, indices
-
-
-def assemble_sweep_result(
-    points: Sequence[GridPoint],
-    chains: Sequence[Sequence[GridPoint]],
-    chain_results: Sequence[
-        Sequence[Tuple[Optional[str], Dict[str, Any]]]
-    ],
-) -> SweepResult:
-    """Fold per-chain documents into a :class:`SweepResult`.
-
-    Mirrors the tail of :func:`run_grid` for the all-computed case:
-    every point is ``ok`` or ``infeasible`` (chain-level failures
-    surface as typed error responses before assembly is reached).
-    """
-    from repro.core.serialize import (
-        failure_from_dict,
-        report_from_dict,
-    )
-    from repro.runner.errors import InfeasiblePoint
-    from repro.runner.result import SweepResult
-
-    reports: Dict[GridPoint, Any] = {}
-    statuses: Dict[GridPoint, str] = {}
-    infeasible: Dict[GridPoint, InfeasiblePoint] = {}
-    for chain, results in zip(chains, chain_results):
-        for point, (_, document) in zip(chain, results):
-            if _is_infeasible_document(document):
-                verdict = failure_from_dict(
-                    document[_INFEASIBLE_KEY]
-                )
-                if not isinstance(verdict, InfeasiblePoint):
-                    verdict = InfeasiblePoint(
-                        str(verdict), {}, point
-                    )
-                infeasible[point] = verdict
-                statuses[point] = STATUS_INFEASIBLE
-            else:
-                reports[point] = report_from_dict(document)
-                statuses[point] = STATUS_OK
-    ordered = list(dict.fromkeys(points))
-    return SweepResult(ordered, reports, statuses, {}, infeasible)
 
 
 # ----------------------------------------------------------------------
@@ -554,12 +467,25 @@ def plan_response(
 
 def sweep_response(
     request: ServeRequest,
-    result: SweepResult,
+    chains: Sequence[Sequence[GridPoint]],
+    chain_results: Sequence[
+        List[Tuple[Optional[str], Dict[str, Any]]]
+    ],
     budget: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """The response document for one ``sweep`` request."""
-    from repro.core.serialize import sweep_result_to_dict
+    """The response document for one ``sweep`` request.
 
+    ``chain_results`` are the completed chains' documents, aligned
+    with ``chains`` (:func:`~repro.runner.chain.chain_layout` of the
+    request's points); a failed chain became an error response
+    instead, so every chain arrives here ``ok``.
+    """
+    from repro.core.serialize import sweep_result_to_dict
+    from repro.runner.result import ChainOutcome, sweep_result
+
+    result = sweep_result(request.points, chains, [
+        ChainOutcome(STATUS_OK, results) for results in chain_results
+    ])
     if budget is None:
         budget = request.budget
     document = _envelope("sweep", request.request_id, budget)
@@ -641,7 +567,7 @@ def execute_request(request: ServeRequest) -> Dict[str, Any]:
         )
         return plan_response(request, results)
     if request.op == "sweep":
-        chains, indices = sweep_chain_layout(request.points)
+        chains, indices = chain_layout(request.points)
         chain_results = [
             execute_chain(
                 chain, request.warm_start, request.budget,
@@ -650,10 +576,7 @@ def execute_request(request: ServeRequest) -> Dict[str, Any]:
             )
             for chain_id, chain in enumerate(chains)
         ]
-        result = assemble_sweep_result(
-            request.points, chains, chain_results
-        )
-        return sweep_response(request, result)
+        return sweep_response(request, chains, chain_results)
     if request.op == "validate":
         audit_document, report_document = execute_validate(
             request.points[0], request.budget,

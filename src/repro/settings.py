@@ -43,17 +43,13 @@ variable                    meaning
 ==========================  ===========================================
 ``REPRO_SERVE_LRU``         response-body LRU capacity in entries
                             (int >= 0; 0 disables; default 256)
-``REPRO_SERVE_PRESSURE``    in-flight searches at which load shedding
-                            starts (int >= 0; 0 disables; default 8)
-``REPRO_SERVE_SHED_BUDGET`` degraded search-unit budget applied while
-                            shedding (int >= 1; default 4096)
 ``REPRO_SERVE_TIMEOUT``     wall-clock bound per worker-pool request
                             in seconds (float; unset/<= 0 off)
-``REPRO_SERVE_QUEUE``       bounded admission: in-flight searches at
+``REPRO_SERVE_QUEUE``       the admission ladder's reject rung
+                            (``--queue``): in-flight searches at
                             which new searches are rejected with a
                             typed ``ServerOverloaded`` body (int;
-                            unset/0 means unbounded -- the
-                            historical behavior)
+                            unset/0 means unbounded)
 ``REPRO_SERVE_HOST``        default bind host (default 127.0.0.1)
 ``REPRO_SERVE_PORT``        default bind port (default 8734)
 ==========================  ===========================================
@@ -61,8 +57,9 @@ variable                    meaning
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.runner.faults import FaultPlan
@@ -91,12 +88,6 @@ KNOWN_SETTINGS: Dict[str, Tuple[str, str]] = {
     "REPRO_BENCH_STRICT": ("bool", "fail benchmarks out of band"),
     "REPRO_SERVE_LRU": (
         "int", "serving response-body LRU capacity (entries)"
-    ),
-    "REPRO_SERVE_PRESSURE": (
-        "int", "in-flight searches that trigger load shedding"
-    ),
-    "REPRO_SERVE_SHED_BUDGET": (
-        "int", "degraded unit budget applied while shedding"
     ),
     "REPRO_SERVE_TIMEOUT": (
         "float", "wall-clock bound per served request in seconds"
@@ -208,3 +199,28 @@ def env_bool(
     if not value:
         return default
     return value not in falsy
+
+
+def _set_env(name: str, value: Optional[str]) -> None:
+    if value is None:
+        os.environ.pop(name, None)
+    else:
+        os.environ[name] = value
+
+
+@contextlib.contextmanager
+def scoped_env(overrides: Mapping[str, Optional[str]]) -> Iterator[None]:
+    """Apply ``overrides`` to ``os.environ`` for the block, then restore.
+
+    A ``None`` value unsets the variable for the block.  Every
+    variable named in ``overrides`` gets its prior value back (or is
+    unset again) on exit, whether the block returns or raises.
+    """
+    saved = {name: os.environ.get(name) for name in overrides}
+    try:
+        for name, value in overrides.items():
+            _set_env(name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            _set_env(name, value)

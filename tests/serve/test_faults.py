@@ -116,6 +116,41 @@ class TestSerialFaults:
         assert app.searches == 1  # one flight, one injected crash
 
 
+class TestAttemptCounter:
+    """The per-fingerprint attempt table holds failed requests only."""
+
+    def test_successful_misses_leave_no_attempt_entries(self):
+        app = ServeApp(InlineWorkerPool(), pressure=0)
+        try:
+            for seq_len in range(64, 64 + 50):
+                point = dict(plan_request()["point"], seq_len=seq_len)
+                document = doc_of(app, plan_request(point=point))
+                assert document["ok"] is True
+        finally:
+            app.close()
+        assert app.searches == 50
+        assert app._attempts == {}
+
+    def test_one_shot_crash_fires_once_and_the_retry_succeeds(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "crash:chain=0,attempt=0")
+        app = ServeApp(InlineWorkerPool(), pressure=0)
+        try:
+            first = doc_of(app, plan_request())
+            assert first["error"]["type"] == "PointFailure"
+            assert len(app._attempts) == 1
+            retry = doc_of(app, plan_request())
+            again = doc_of(app, plan_request())
+        finally:
+            app.close()
+        assert retry["ok"] is True
+        assert again == retry
+        assert app.searches == 2
+        assert app.errors == 1
+        assert app._attempts == {}
+
+
 class TestWorkerPoolFaults:
     """A real process pool: ``exit`` kills the worker process."""
 

@@ -11,8 +11,14 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +331,67 @@ class TestForkedWorkers:
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 200")
         assert json.loads(body)["ok"] is True
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _children(pid):
+    """The child pids of ``pid``'s main thread (read from /proc)."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(child) for child in path.read_text().split()]
+
+
+def _alive(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<pid>/children",
+)
+class TestShutdown:
+    def test_sigterm_stops_the_server_and_its_pool_workers(
+        self, tmp_path
+    ):
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(SRC)
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--jobs", "1",
+             "--port", "0", "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+        workers = []
+        try:
+            ready = server.stderr.readline().split()
+            assert ready[:1] == ["SERVING"], ready
+            raw = _read_to_eof(int(ready[2]), plan_request(), 120)
+            assert raw.startswith(b"HTTP/1.1 200")
+            workers = _children(server.pid)
+            assert workers
+            server.terminate()
+            assert server.wait(timeout=30) == 0
+            deadline = time.monotonic() + 30
+            while any(map(_alive, workers)):
+                assert time.monotonic() < deadline, workers
+                time.sleep(0.05)
+        finally:
+            # Never leave a process behind, even when the test fails.
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stderr.close()
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestClient:
