@@ -422,11 +422,14 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
 
     Records the per-request p50 and, per miss, the CPU milliseconds
     spent in the TileSeek search, the DPipe kernel build and cache
-    puts; the ceiling only applies under ``REPRO_BENCH_STRICT``.
+    puts, plus the kernel builds and the distinct kernel keys (one per
+    planning table, caps and budget) they built; the two are equal,
+    so no table's kernel is ever built twice.  The ceiling only
+    applies under ``REPRO_BENCH_STRICT``.
     """
     import repro.dpipe.planner as planner
     from repro.model.config import MODEL_ZOO
-    from repro.runner.cache import PlanCache
+    from repro.runner.cache import PlanCache, stable_hash
     from repro.serve.protocol import execute_request, parse_request
     from repro.validate import force_validation
 
@@ -449,6 +452,15 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
     cpu_timed(TileSeek, "search", "tileseek")
     cpu_timed(planner, "_build_kernel", "kernel_build")
     cpu_timed(PlanCache, "put", "cache_put")
+    built = []
+    timed_build = planner._build_kernel
+
+    def recorded_build(skeleton, table, options, *args, **kwargs):
+        built.append((skeleton, table, options,
+                      kwargs.get("units_limit")))
+        return timed_build(skeleton, table, options, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "_build_kernel", recorded_build)
     models = sorted(MODEL_ZOO)
     archs = ("cloud", "edge", "edge32", "edge64")
 
@@ -479,6 +491,7 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
         for index, point in enumerate(sorted(warm)):
             execute_request(request(index, *point))
         cpu.update(dict.fromkeys(cpu, 0.0))
+        built.clear()
         for index, point in enumerate(fresh):
             start = time.perf_counter()
             response = execute_request(request(index, *point))
@@ -486,6 +499,12 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
             assert response["ok"], response
     samples.sort()
     p50_ms = samples[len(samples) // 2] * 1e3
+    built_keys = [
+        stable_hash(planner._kernel_payload(
+            skeleton, table, options, "", units_limit
+        ))
+        for skeleton, table, options, units_limit in built
+    ]
     perf_log("plan_miss_speed", {
         "plan_miss_ms_p50": p50_ms,
         "plan_miss_ms_mean": sum(samples) / len(samples) * 1e3,
@@ -493,9 +512,14 @@ def test_plan_miss_speed(perf_log, tmp_path, monkeypatch):
             f"{key}_cpu_ms_per_miss": seconds / len(samples) * 1e3
             for key, seconds in cpu.items()
         },
+        "kernel_builds_per_miss": len(built_keys) / len(samples),
+        "distinct_tables_per_miss": (
+            len(set(built_keys)) / len(samples)
+        ),
         "points": len(samples),
         "workload": "execute_request, transfusion, fresh seeded "
                     "points after one plan per (model, arch)",
     })
+    assert len(built_keys) == len(set(built_keys))
     if STRICT:
         assert p50_ms < 100.0

@@ -20,13 +20,18 @@ Three performance layers sit between the public API and the DP:
   that schedules shared order prefixes once and prunes against the
   incumbent (byte-identical winners; see that module's docstring).
 * **Kernel memoization** -- everything scheduled here depends only on
-  ``(cascade, layer, tile, arch, options)``; ``n_epochs`` merely
-  scales totals.  ``plan_cascade`` therefore computes an
-  ``n_epochs``-free *schedule kernel* (per-epoch periods, fill/drain
-  makespans, per-epoch busy/load splits and the winning orders) and
-  caches it in-process across layers, executors and sweep points,
-  plus persistently through :mod:`repro.runner.cache` (kind
-  ``dpipe-kernel``, salted by the code version).  Building a
+  the cascade, its planning :class:`LatencyTable` (seconds on both
+  arrays plus loads) and the search caps; layer, tile and arch enter
+  only through that table, and ``n_epochs`` merely scales totals.
+  ``plan_cascade`` therefore computes an ``n_epochs``-free *schedule
+  kernel* (per-epoch periods, fill/drain makespans, per-epoch
+  busy/load splits and the winning orders), keys it by the table's
+  content, and caches it in-process across layers, tiles, executors
+  and sweep points, plus persistently through
+  :mod:`repro.runner.cache` (kind ``dpipe-kernel``, salted by the
+  code version).  Tiles that differ only in extents no op reads at
+  epoch granularity (``m0`` always) price to the same table and so
+  share one kernel.  Building a
   :class:`DPipePlan` from a cached kernel replays the exact legacy
   float expressions, so plans are byte-identical to a from-scratch
   search.  When validation is enabled the memo is bypassed and the
@@ -36,8 +41,9 @@ Three performance layers sit between the public API and the DP:
   bipartition's window DAG and fill/drain DP inputs, and the cascade's
   fragment of the kernel key depend on the cascade alone, so they are
   built once per cascade instance and shared by every tile; so is each
-  finished kernel hex key.  A kernel build does only tile-dependent
-  work: the latency table, the searches and the DPs.
+  tile's finished kernel hex key, so a repeated tile builds no table.
+  A kernel build does only table-dependent work: the searches and the
+  DPs.
 
 The original enumerate-then-score planner is kept verbatim, outside
 the package, as the differential reference (``tests/oracles/``); the
@@ -218,9 +224,10 @@ class _CascadeKernel:
     provenance: str = PROVENANCE_COMPLETE
 
 
-#: In-process kernel memo: key is the content hash of everything the
-#: kernel depends on (cascade, layer, tile, arch, search caps,
-#: assignment mode, code salt).  ``objective`` and
+#: In-process kernel memo, one kernel per distinct planning table:
+#: key is the content hash of everything the kernel depends on
+#: (cascade, latency table, search caps, assignment mode, unit
+#: budget, code salt).  ``objective`` and
 #: ``enable_pipelining`` are deliberately excluded -- the objective
 #: only reweighs candidates at plan-construction time and pipelining
 #: only gates which kernel half is consulted -- so energy/EDP sweeps
@@ -247,9 +254,10 @@ class _Skeleton:
     """Everything a kernel build needs that depends on the cascade
     alone: its DAG, paired window, bipartition windows (per
     ``max_bipartitions`` cap), the ``asdict(cascade)`` fragment of the
-    kernel key, and the memo of finished hex keys.  Tile, arch and
-    options only enter through the latency table and the key memo's
-    key, so a skeleton is shared by every plan of its cascade."""
+    kernel key, and ``keys``, the memo from a (layer, tile, arch,
+    options) tuple to the hex key of its table's kernel.  Tile, arch
+    and options only enter through the latency table and that memo,
+    so a skeleton is shared by every plan of its cascade."""
 
     __slots__ = ("cascade", "dag", "paired", "fragment", "keys",
                  "_windows")
@@ -308,34 +316,41 @@ def kernel_cache_size() -> int:
     return len(_KERNEL_CACHE)
 
 
+def _table_fragment(table: LatencyTable) -> Dict[str, Any]:
+    """The kernel key's rendering of a planning table: sorted
+    ``[op, array, seconds]`` triples plus ``{op: load}``.
+
+    ``stable_hash`` renders floats by ``repr``, so two tables share a
+    fragment exactly when every latency and load is the same float.
+    """
+    return {
+        "seconds": sorted(
+            [name, kind.value, seconds]
+            for (name, kind), seconds in table.seconds.items()
+        ),
+        "loads": dict(table.loads),
+    }
+
+
 def _kernel_payload(
     skeleton: _Skeleton,
-    layer: str,
-    tile: Mapping[str, int],
-    arch: ArchitectureSpec,
+    table: LatencyTable,
     options: DPipeOptions,
     salt: str,
     units_limit: Optional[int] = None,
 ) -> Dict[str, Any]:
-    # Lazy import: repro.runner sits above the planner in the layer
-    # diagram; only its content-hash helpers are borrowed here.
-    from repro.runner.cache import arch_fingerprint
-
     payload = {
         "kind": "dpipe-kernel",
         "salt": salt,
         "cascade": skeleton.fragment,
-        "layer": layer,
-        "tile": {key: int(value) for key, value in
-                 sorted(tile.items())},
-        "arch": arch_fingerprint(arch),
+        "table": _table_fragment(table),
         "max_bipartitions": options.max_bipartitions,
         "max_orders": options.max_orders,
         "enable_dp_assignment": options.enable_dp_assignment,
     }
     if units_limit is not None:
-        # Only budgeted kernels grow the key: unbudgeted runs keep
-        # their pre-existing cache entries (and byte-identical keys).
+        # Only budgeted kernels grow the key, so a degraded kernel
+        # never answers an unbudgeted request (or vice versa).
         payload["budget"] = units_limit
     return payload
 
@@ -443,14 +458,17 @@ def _kernel_from_dict(document: Mapping[str, Any]) -> _CascadeKernel:
 
 def _build_kernel(
     skeleton: _Skeleton,
-    layer: str,
-    tile: Mapping[str, int],
-    arch: ArchitectureSpec,
+    table: LatencyTable,
     options: DPipeOptions,
     with_pipeline: bool,
     units_limit: Optional[int] = None,
 ) -> _CascadeKernel:
     """Run the fused searches and record their n_epochs-free results.
+
+    The searches read the tile, layer and architecture only through
+    ``table`` (the :func:`_planning_table`), so the kernel is a pure
+    function of the skeleton, the table, the search caps and the
+    budget -- exactly what :func:`_kernel_payload` keys it by.
 
     ``units_limit`` caps the *total* DFS node visits across every
     internal search of this kernel with one shared
@@ -459,7 +477,6 @@ def _build_kernel(
     (possibly degraded) kernel -- is identical on every host.
     """
     cascade, dag = skeleton.cascade, skeleton.dag
-    table = _planning_table(cascade, layer, tile, arch, options)
     units = Budget(units_limit) if units_limit is not None else None
 
     _, single, single_prov = fused_best_order_ex(
@@ -548,17 +565,21 @@ def _cached_kernel(
 
     salt = code_salt()
     # The hex key is a pure function of these (the arch and tile by
-    # value), so it is hashed once per distinct tuple per cascade.
+    # value), so a repeated tile neither rebuilds its table nor
+    # rehashes it.
     memo_key = (
         layer, tuple(sorted(tile.items())), arch,
         options.max_bipartitions, options.max_orders,
         options.enable_dp_assignment, units_limit, salt,
     )
+    table: Optional[LatencyTable] = None
     key = skeleton.keys.get(memo_key)
     if key is None:
+        table = _planning_table(
+            skeleton.cascade, layer, tile, arch, options
+        )
         key = stable_hash(_kernel_payload(
-            skeleton, layer, tile, arch, options, salt,
-            units_limit=units_limit,
+            skeleton, table, options, salt, units_limit=units_limit
         ))
         skeleton.keys[memo_key] = key
 
@@ -578,15 +599,18 @@ def _cached_kernel(
             if satisfies(loaded):
                 _KERNEL_CACHE[key] = loaded
                 return loaded
+    if table is None:
+        table = _planning_table(
+            skeleton.cascade, layer, tile, arch, options
+        )
     kernel = _build_kernel(
-        skeleton, layer, tile, arch, options, with_pipeline,
+        skeleton, table, options, with_pipeline,
         units_limit=units_limit,
     )
     _KERNEL_CACHE[key] = kernel
     if cache is not None:
         payload = _kernel_payload(
-            skeleton, layer, tile, arch, options, salt,
-            units_limit=units_limit,
+            skeleton, table, options, salt, units_limit=units_limit
         )
         cache.put("dpipe-kernel", key, _kernel_to_dict(kernel),
                   payload)
@@ -715,10 +739,11 @@ def plan_cascade(
 
     Runs the fused branch-and-bound search over an interned DAG and
     memoizes the ``n_epochs``-free schedule kernel (in-process and
-    through the persistent plan cache), so repeated sweep points --
-    and different epoch counts over the same layer -- skip the search
-    entirely.  Plans are byte-identical to
-    :func:`plan_cascade_legacy`.
+    through the persistent plan cache), keyed by the cascade's
+    latency table rather than the tile, so repeated sweep points,
+    different epoch counts over the same layer and tiles that price
+    to the same table all skip the search.  Plans are byte-identical
+    to :func:`plan_cascade_legacy`.
 
     Args:
         cascade: The sub-layer's Einsum cascade.
@@ -745,8 +770,9 @@ def plan_cascade(
         # the kernel with the schedule auditor armed (every winning
         # search pass and every fill/drain DP is replay-checked).
         kernel = _build_kernel(
-            skeleton, layer, tile, arch, options, with_pipeline,
-            units_limit=units_limit,
+            skeleton,
+            _planning_table(cascade, layer, tile, arch, options),
+            options, with_pipeline, units_limit=units_limit,
         )
     else:
         kernel = _cached_kernel(

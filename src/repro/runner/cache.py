@@ -214,18 +214,29 @@ def workload_fingerprint(workload: Any) -> Dict[str, Any]:
     return dataclasses.asdict(workload)
 
 
+#: Canonical JSON of each architecture spec fingerprinted so far,
+#: keyed by the (frozen, hashable) spec's value.  Holding text rather
+#: than the dict means no caller can corrupt the memo.
+_ARCH_FINGERPRINTS: Dict[Any, str] = {}
+
+
 def arch_fingerprint(arch: Any) -> Dict[str, Any]:
     """JSON-safe identity of an architecture spec.
 
     The full spec content is hashed -- arrays, buffer, DRAM, clock,
     word size and energy model -- so resized (:meth:`with_2d_array`)
     or sensitivity-scaled variants never collide with the presets
-    they were derived from.
+    they were derived from.  The spec is rendered once per distinct
+    value; every call returns a fresh dict the caller may mutate.
     """
-    fingerprint = dataclasses.asdict(arch)
-    for key in ("array_2d", "array_1d", "buffer", "dram"):
-        fingerprint[key]["kind"] = fingerprint[key]["kind"].value
-    return fingerprint
+    rendered = _ARCH_FINGERPRINTS.get(arch)
+    if rendered is None:
+        fingerprint = dataclasses.asdict(arch)
+        for key in ("array_2d", "array_1d", "buffer", "dram"):
+            fingerprint[key]["kind"] = fingerprint[key]["kind"].value
+        rendered = json.dumps(fingerprint)
+        _ARCH_FINGERPRINTS[arch] = rendered
+    return json.loads(rendered)
 
 
 class PlanCache:

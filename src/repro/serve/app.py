@@ -32,8 +32,8 @@ Design points:
   byte-identical to an explicit request at that budget and can never
   be served as a full-budget one; shedding itself is visible in the
   ``stats`` counters and the journal.
-* **Typed errors, never hangs.**  A failed chain maps to the sweep
-  taxonomy through the engine's own
+* **Typed errors, never hangs.**  A failed chain (or ``validate``
+  job) maps to the sweep taxonomy through the engine's own
   :func:`~repro.runner.chain.chain_failure`; a
   :class:`~repro.runner.errors.WorkerCrash` (``BrokenProcessPool`` or
   the serial-mode :class:`~repro.runner.errors.InjectedWorkerExit`)
@@ -55,7 +55,16 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.runner.cache import code_salt
 from repro.runner.chain import chain_failure, chain_layout
@@ -385,13 +394,18 @@ class ServeApp:
                     request, chains, chain_results, budget=budget
                 )
             else:
-                future = self.pool.submit(
-                    execute_validate, request.points[0], budget,
-                    request.no_fallback, extra_env,
-                )
-                audit_doc, report_doc = await self._bounded(
-                    asyncio.wrap_future(future), attempt
-                )
+                try:
+                    future = self.pool.submit(
+                        execute_validate, request.points[0], budget,
+                        request.no_fallback, extra_env,
+                    )
+                    audit_doc, report_doc = await self._bounded(
+                        asyncio.wrap_future(future), attempt
+                    )
+                except Exception as error:
+                    raise self._chain_failure(
+                        error, request.points, 0, attempt
+                    )
                 document = validate_response(
                     request, audit_doc, report_doc, budget=budget,
                 )
@@ -428,14 +442,26 @@ class ServeApp:
         )
         for chain_id, outcome in enumerate(outcomes):
             if isinstance(outcome, BaseException):
-                failure = chain_failure(
-                    outcome, chains[chain_id], chain_id, attempt,
-                    self.timeout,
+                raise self._chain_failure(
+                    outcome, chains[chain_id], chain_id, attempt
                 )
-                if isinstance(failure, WorkerCrash):
-                    self.pool.respawn()
-                raise failure
         return list(outcomes)
+
+    def _chain_failure(
+        self,
+        error: BaseException,
+        chain: Sequence[Any],
+        chain_id: int,
+        attempt: int,
+    ) -> Exception:
+        """Map one job's failure to the sweep taxonomy; a dead
+        worker also respawns the pool."""
+        failure = chain_failure(
+            error, chain, chain_id, attempt, self.timeout
+        )
+        if isinstance(failure, WorkerCrash):
+            self.pool.respawn()
+        return failure
 
     async def _bounded(
         self, awaitable: Any, attempt: int

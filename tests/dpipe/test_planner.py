@@ -320,6 +320,172 @@ class TestSkeletonReuse:
         planner.clear_kernel_cache()
 
 
+class TestTableKeyedKernels:
+    """Kernels are keyed by the planning latency table, not the tile:
+    tiles that price to one table share one kernel build, a memo hit
+    equals a fresh build, and any change to the table, the budget or
+    the validation mode still gets its own build."""
+
+    CASCADES = TestSkeletonReuse.CASCADES
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count ``_build_kernel`` calls, in-process memo only."""
+        from repro.dpipe import planner
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.delenv("REPRO_BUDGET", raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
+        calls = []
+        inner = planner._build_kernel
+
+        def counted(skeleton, table, *args, **kwargs):
+            calls.append(table)
+            return inner(skeleton, table, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "_build_kernel", counted)
+        planner.clear_kernel_cache()
+        yield calls
+        planner.clear_kernel_cache()
+
+    @staticmethod
+    def _unread_variants(layer, cascade, arch):
+        """A base tile plus tiles that differ from it only in extents
+        no op of ``cascade`` reads."""
+        from repro.model.config import named_model
+
+        extents = named_model("llama3").extents()
+        extents.update({"p": 4096, "m0": 4096, "m1": 1})
+        base = inner_tile_extents(layer, extents, arch.array_2d)
+        unread = [dim for dim in base
+                  if dim not in cascade.dims_used()]
+        if layer in ("layernorm", "ffn"):
+            # The sequence extent of a served miss's tile.
+            assert "m0" in unread
+        assert unread
+        return [base] + [
+            dict(base, **{dim: value})
+            for dim in unread for value in (1, 777)
+        ]
+
+    def test_unread_extents_share_one_table_and_one_build(
+        self, cloud, edge, builds
+    ):
+        from repro.dpipe import planner
+        from repro.validate import force_validation
+        from tests.oracles.dpipe_legacy import plan_cascade_legacy
+
+        with force_validation(False):
+            for arch in (cloud, edge):
+                for layer, build in self.CASCADES:
+                    cascade = build()
+                    builds.clear()
+                    planner.clear_kernel_cache()
+                    tiles = self._unread_variants(layer, cascade, arch)
+                    tables = [
+                        planner._planning_table(
+                            cascade, layer, tile, arch, DPipeOptions()
+                        )
+                        for tile in tiles
+                    ]
+                    assert all(table == tables[0] for table in tables)
+                    for tile in tiles:
+                        for n_epochs in (7, 1):
+                            fused = plan_cascade(cascade, layer, tile,
+                                                 arch, n_epochs)
+                            legacy = plan_cascade_legacy(
+                                cascade, layer, tile, arch, n_epochs
+                            )
+                            assert fused == legacy
+                    assert len(builds) == 1, (arch.name, layer)
+                    assert planner.kernel_cache_size() == 1
+                    # The memoised kernel equals a fresh build.
+                    (kernel,) = planner._KERNEL_CACHE.values()
+                    fresh = planner._build_kernel(
+                        planner._skeleton(cascade), tables[0],
+                        DPipeOptions(), True,
+                    )
+                    assert (planner._kernel_to_dict(kernel)
+                            == planner._kernel_to_dict(fresh))
+
+    def test_one_float_apart_tables_get_distinct_keys(self, cloud):
+        import math
+
+        from repro.dpipe import planner
+        from repro.dpipe.latency import LatencyTable
+        from repro.runner.cache import stable_hash
+
+        for layer, build in self.CASCADES:
+            cascade = build()
+            skeleton = planner._skeleton(cascade)
+            (tile, *_) = self._unread_variants(layer, cascade, cloud)
+            table = planner._planning_table(
+                cascade, layer, tile, cloud, DPipeOptions()
+            )
+
+            def key(candidate):
+                return stable_hash(planner._kernel_payload(
+                    skeleton, candidate, DPipeOptions(), "salt"
+                ))
+
+            same = LatencyTable(seconds=dict(table.seconds),
+                                loads=dict(table.loads))
+            assert key(same) == key(table)
+            seen = {key(table)}
+            for slot in table.seconds:
+                seconds = dict(table.seconds)
+                seconds[slot] = math.nextafter(seconds[slot], math.inf)
+                seen.add(key(LatencyTable(seconds, table.loads)))
+            for name in table.loads:
+                loads = dict(table.loads)
+                loads[name] = math.nextafter(float(loads[name]),
+                                             math.inf)
+                seen.add(key(LatencyTable(table.seconds, loads)))
+            assert len(seen) == 1 + len(table.seconds) + len(
+                table.loads
+            )
+
+    def test_budgeted_kernel_never_answers_unbudgeted(
+        self, cloud, builds, monkeypatch
+    ):
+        from repro.dpipe import planner
+        from repro.validate import force_validation
+        from tests.oracles.dpipe_legacy import plan_cascade_legacy
+
+        cascade = attention_cascade()
+        (tile, *_) = self._unread_variants("mha", cascade, cloud)
+        with force_validation(False):
+            monkeypatch.setenv("REPRO_BUDGET", "16")
+            budgeted = plan_cascade(cascade, "mha", tile, cloud, 7)
+            monkeypatch.delenv("REPRO_BUDGET")
+            plain = plan_cascade(cascade, "mha", tile, cloud, 7)
+            monkeypatch.setenv("REPRO_BUDGET", "16")
+            again = plan_cascade(cascade, "mha", tile, cloud, 7)
+        assert len(builds) == 2
+        # The budgeted kernel is degraded; the unbudgeted one is not.
+        assert [
+            kernel.provenance == "complete"
+            for kernel in planner._KERNEL_CACHE.values()
+        ] == [False, True]
+        assert again == budgeted
+        assert plain == plan_cascade_legacy(cascade, "mha", tile,
+                                            cloud, 7)
+
+    def test_validation_builds_every_kernel_fresh(
+        self, cloud, builds
+    ):
+        from repro.dpipe import planner
+        from repro.validate import force_validation
+
+        cascade = ffn_cascade()
+        tiles = self._unread_variants("ffn", cascade, cloud)
+        with force_validation(True):
+            for tile in tiles:
+                plan_cascade(cascade, "ffn", tile, cloud, 7)
+        assert len(builds) == len(tiles)
+        assert planner.kernel_cache_size() == 0
+
+
 class TestKernelMemoization:
     """The n_epochs-free kernel memo returns byte-identical plans on
     repeat calls, shares kernels across epoch counts, and survives a

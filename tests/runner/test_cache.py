@@ -419,6 +419,54 @@ class TestKeyInvalidation:
         resized = arch.with_2d_array(128, 128)
         assert arch_fingerprint(arch) != arch_fingerprint(resized)
 
+    def test_mutated_fingerprint_moves_no_later_key(
+        self, tmp_path, monkeypatch
+    ):
+        """The fingerprint memo hands out copies: a caller that
+        mutates one changes neither the next fingerprint nor any
+        report, tileseek or kernel key."""
+        import repro.core.executor as executor_module
+        from repro.dpipe.planner import clear_kernel_cache
+        from repro.validate import force_validation
+
+        transfusion = GridPoint(
+            executor="transfusion", model="t5", seq_len=512,
+            arch="cloud", batch=4,
+        )
+
+        def entry_keys(root):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            monkeypatch.setattr(executor_module, "_TILING_CACHE", {})
+            clear_kernel_cache()
+            with force_validation(False):
+                compute_report(transfusion)
+            return sorted(
+                path.relative_to(root).as_posix()
+                for path in root.rglob("*.json")
+            )
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        arch = named_architecture("cloud")
+        pristine = json.loads(json.dumps(arch_fingerprint(arch)))
+        report_key = stable_hash(report_cache_payload(transfusion))
+        keys = entry_keys(tmp_path / "before")
+
+        mutated = arch_fingerprint(arch)
+        mutated["name"] = "vandalised"
+        mutated["array_2d"]["rows"] = 1
+        mutated.clear()
+
+        assert arch_fingerprint(arch) == pristine
+        assert arch_fingerprint(named_architecture("cloud")) == pristine
+        assert stable_hash(
+            report_cache_payload(transfusion)
+        ) == report_key
+        assert entry_keys(tmp_path / "after") == keys
+        assert {key.split("/")[0] for key in keys} == {
+            "report", "tileseek", "dpipe-kernel",
+        }
+        clear_kernel_cache()
+
     def test_workload_shape_changes_key(self, point):
         base = report_cache_payload(point)
         bigger = report_cache_payload(

@@ -12,12 +12,32 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 
 from repro.runner.pool import InlineWorkerPool, WorkerPool
 from repro.serve.app import ServeApp
 from repro.serve.lru import SaltedLRU
 from repro.serve.protocol import ServeRequest
-from tests.serve.conftest import body_of, doc_of, plan_request, run
+from tests.serve.conftest import (
+    POINT,
+    body_of,
+    doc_of,
+    plan_request,
+    run,
+)
+
+#: A served validate request for the battery's canonical point.
+VALIDATE = {"op": "validate", "point": dict(POINT)}
+
+
+def exiting_validate(*args):
+    """Stands in for ``execute_validate``: the worker dies."""
+    os._exit(13)
+
+
+def raising_validate(*args):
+    """Stands in for ``execute_validate``: the job raises."""
+    raise ValueError("audit exploded")
 
 
 def cold_answer():
@@ -116,6 +136,22 @@ class TestSerialFaults:
         assert app.searches == 1  # one flight, one injected crash
 
 
+    def test_raising_validate_is_a_point_failure(self, monkeypatch):
+        import repro.serve.app as serve_app
+
+        monkeypatch.setattr(
+            serve_app, "execute_validate", raising_validate
+        )
+        app = ServeApp(InlineWorkerPool(), pressure=0)
+        try:
+            first = doc_of(app, VALIDATE)
+        finally:
+            app.close()
+        assert first["ok"] is False
+        assert first["error"]["type"] == "PointFailure"
+        assert app.pool.generation == 0
+
+
 class TestAttemptCounter:
     """The per-fingerprint attempt table holds failed requests only."""
 
@@ -170,6 +206,33 @@ class TestWorkerPoolFaults:
         finally:
             app.close()
         assert retry == cold
+
+    def test_dead_validate_worker_is_a_typed_crash_and_respawns(
+        self, monkeypatch
+    ):
+        """A served validate that loses its worker answers the same
+        typed WorkerCrash a plan does, and the pool is respawned
+        at once, so the next validate succeeds."""
+        import repro.serve.app as serve_app
+
+        real = serve_app.execute_validate
+        monkeypatch.setattr(
+            serve_app, "execute_validate", exiting_validate
+        )
+        app = ServeApp(WorkerPool(1), pressure=0)
+        try:
+            first = doc_of(app, VALIDATE)
+            assert first["ok"] is False
+            assert first["status"] == "error"
+            assert first["error"]["type"] == "WorkerCrash"
+            assert first["error"]["attempt"] == 0
+            assert app.pool.generation == 1
+            monkeypatch.setattr(serve_app, "execute_validate", real)
+            retry = doc_of(app, VALIDATE)
+        finally:
+            app.close()
+        assert retry["ok"] is True
+        assert retry["op"] == "validate"
 
     def test_wedged_worker_is_bounded_by_the_serve_timeout(
         self, monkeypatch
