@@ -19,21 +19,33 @@ from repro.sim.latency import op_cycles
 from repro.sim.mapping import layer_mapping
 
 
+#: Both scheduling resources, in deterministic tie-break order: the 2D
+#: array wins ties so GEMM-heavy schedules stay on the wide array.  A
+#: :class:`LatencyTable` keys each array by its index here.
+ARRAYS: Tuple[PEArrayKind, ...] = (
+    PEArrayKind.ARRAY_2D,
+    PEArrayKind.ARRAY_1D,
+)
+
+
 @dataclass(frozen=True)
 class LatencyTable:
     """Seconds and compute loads per (op, PE array).
 
     Attributes:
-        seconds: ``(op name, array kind) -> latency seconds``.
+        seconds: ``(op name, array index) -> latency seconds``, the
+            index into :data:`ARRAYS`.  Integer keys keep the
+            schedulers' lookups off ``Enum.__hash__``, which runs
+            in Python.
         loads: ``op name -> Eq. 40 compute load`` (array independent).
     """
 
-    seconds: Mapping[Tuple[str, PEArrayKind], float]
+    seconds: Mapping[Tuple[str, int], float]
     loads: Mapping[str, float]
 
     def latency(self, op_name: str, kind: PEArrayKind) -> float:
         """Latency of one op on one array."""
-        return self.seconds[(op_name, kind)]
+        return self.seconds[(op_name, ARRAYS.index(kind))]
 
     def load(self, op_name: str) -> float:
         """Scalar-op count of one op execution."""
@@ -48,12 +60,12 @@ def build_latency_table(
 ) -> LatencyTable:
     """Price every cascade op on both PE arrays at tile granularity."""
     mapping = layer_mapping(layer)
-    seconds: Dict[Tuple[str, PEArrayKind], float] = {}
+    seconds: Dict[Tuple[str, int], float] = {}
     loads: Dict[str, float] = {}
     for op in cascade.all_ops:
         loads[op.name] = op.compute_load(tile)
-        for kind in (PEArrayKind.ARRAY_2D, PEArrayKind.ARRAY_1D):
+        for index, kind in enumerate(ARRAYS):
             array = arch.array(kind)
             cycles = op_cycles(op, tile, array, mapping)
-            seconds[(op.name, kind)] = cycles / arch.clock_hz
+            seconds[(op.name, index)] = cycles / arch.clock_hz
     return LatencyTable(seconds=seconds, loads=loads)

@@ -127,16 +127,16 @@ def _pinned_table(
 ) -> LatencyTable:
     """Forbid cross-array placement: natural array keeps its latency,
     the other becomes prohibitively slow (ablation mode)."""
-    seconds: Dict[Tuple[str, PEArrayKind], float] = {}
+    seconds: Dict[Tuple[str, int], float] = {}
     for op in cascade.all_ops:
         natural = (
             PEArrayKind.ARRAY_2D
             if op.is_gemm_like
             else PEArrayKind.ARRAY_1D
         )
-        for kind in ARRAYS:
-            base = table.latency(op.name, kind)
-            seconds[(op.name, kind)] = (
+        for index, kind in enumerate(ARRAYS):
+            base = table.seconds[(op.name, index)]
+            seconds[(op.name, index)] = (
                 base if kind is natural else base * 1e9
             )
     return LatencyTable(seconds=seconds, loads=dict(table.loads))
@@ -325,8 +325,8 @@ def _table_fragment(table: LatencyTable) -> Dict[str, Any]:
     """
     return {
         "seconds": sorted(
-            [name, kind.value, seconds]
-            for (name, kind), seconds in table.seconds.items()
+            [name, ARRAYS[index].value, seconds]
+            for (name, index), seconds in table.seconds.items()
         ),
         "loads": dict(table.loads),
     }
@@ -698,13 +698,19 @@ def _plan_from_kernel(
         pipelined=True,
         provenance=kernel.provenance,
     ))
+    for candidate in candidates:
+        if score(candidate) < score(best_plan):
+            best_plan = candidate
+    latency_only = options.objective == "latency"
     for window in pipe.windows:
         total = (
             window.fill
             + (n_epochs - 1) * window.period
             + window.drain
         )
-        candidates.append(DPipePlan(
+        if latency_only and not total < best_plan.total_seconds:
+            continue  # cannot win: skip building its plan
+        candidate = DPipePlan(
             layer=layer,
             n_epochs=n_epochs,
             epoch_seconds=window.period,
@@ -720,8 +726,8 @@ def _plan_from_kernel(
             bipartition=window.bipartition,
             window_order=window.order,
             pipelined=True,
-        ))
-    for candidate in candidates:
+            provenance=kernel.provenance,
+        )
         if score(candidate) < score(best_plan):
             best_plan = candidate
     return best_plan

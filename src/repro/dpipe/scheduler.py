@@ -16,18 +16,11 @@ work across the arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Set, Tuple
+from typing import Dict, Mapping, Sequence, Set
 
 from repro.arch.pe import PEArrayKind
-from repro.dpipe.latency import LatencyTable
+from repro.dpipe.latency import ARRAYS, LatencyTable
 from repro.validate.config import validation_enabled
-
-#: Both scheduling resources, in deterministic tie-break order: the 2D
-#: array wins ties so GEMM-heavy schedules stay on the wide array.
-ARRAYS: Tuple[PEArrayKind, ...] = (
-    PEArrayKind.ARRAY_2D,
-    PEArrayKind.ARRAY_1D,
-)
 
 
 @dataclass(frozen=True)
@@ -50,12 +43,12 @@ class ScheduleResult:
         self, table: LatencyTable
     ) -> Dict[PEArrayKind, float]:
         """Compute-load (scalar ops) executed per array."""
-        split: Dict[PEArrayKind, float] = {kind: 0.0 for kind in ARRAYS}
+        split = [0.0] * len(ARRAYS)
         for name, kind in self.assignment.items():
             base = _strip_epoch(name)
             if base in table.loads:  # virtual ROOT carries no load
-                split[kind] += table.load(base)
-        return split
+                split[ARRAYS.index(kind)] += table.load(base)
+        return dict(zip(ARRAYS, split))
 
 
 def _strip_epoch(name: str) -> str:
@@ -82,10 +75,12 @@ def dp_schedule(
     Returns:
         The schedule with makespan, assignment and busy times.
     """
-    time: Dict[PEArrayKind, float] = {kind: 0.0 for kind in ARRAYS}
+    # Per-array clocks and busy totals, by index into ARRAYS.
+    time = [0.0] * len(ARRAYS)
     end: Dict[str, float] = {}
     assignment: Dict[str, PEArrayKind] = {}
-    busy: Dict[PEArrayKind, float] = {kind: 0.0 for kind in ARRAYS}
+    busy = [0.0] * len(ARRAYS)
+    seconds = table.seconds
     for node in order:
         dep_ready = max(
             (end[p] for p in preds.get(node, ()) if p in end),
@@ -96,30 +91,30 @@ def dp_schedule(
         # (repro.dpipe.search) and is still run per candidate order by
         # the legacy path benchmarks compare against.
         base = None if node in zero_latency else _strip_epoch(node)
-        best_kind = ARRAYS[0]
+        best = 0
         best_end = float("inf")
         best_latency = 0.0
-        for kind in ARRAYS:
+        for index in range(len(ARRAYS)):
             if base is None:
                 latency = 0.0
             else:
-                latency = table.latency(base, kind)
-            start = max(time[kind], dep_ready)  # Eq. 43
+                latency = seconds[(base, index)]
+            start = max(time[index], dep_ready)  # Eq. 43
             finish = start + latency  # Eq. 44
             if finish < best_end:  # Eq. 45 (strict: 2D wins ties)
-                best_kind = kind
+                best = index
                 best_end = finish
                 best_latency = latency
         end[node] = best_end
-        assignment[node] = best_kind
-        time[best_kind] = best_end  # Eq. 46
-        busy[best_kind] += best_latency
+        assignment[node] = ARRAYS[best]
+        time[best] = best_end  # Eq. 46
+        busy[best] += best_latency
     makespan = max(end.values(), default=0.0)
     result = ScheduleResult(
         makespan=makespan,
         assignment=assignment,
         end_times=end,
-        busy_seconds=busy,
+        busy_seconds=dict(zip(ARRAYS, busy)),
     )
     if validation_enabled():
         # Lazy import: the auditor imports this module for the replay.

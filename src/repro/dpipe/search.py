@@ -245,7 +245,6 @@ class InternedProblem:
         self.preds: List[List[int]] = structure.preds
         self.succs: List[List[int]] = structure.succs
         seconds = table.seconds
-        array2, array1 = ARRAYS
         lat2: List[float] = []
         lat1: List[float] = []
         for name, base in zip(structure.names, structure.bases):
@@ -253,8 +252,8 @@ class InternedProblem:
                 lat2.append(0.0)
                 lat1.append(0.0)
             else:
-                lat2.append(seconds[(base, array2)])
-                lat1.append(seconds[(base, array1)])
+                lat2.append(seconds[(base, 0)])  # ARRAYS[0], the 2D
+                lat1.append(seconds[(base, 1)])
         self.lat2 = lat2
         self.lat1 = lat1
         self.tail_min = self._tails(structure.topo)

@@ -9,10 +9,9 @@ instead of dying:
   cooperatively through both searches, plus the provenance vocabulary
   (``complete`` / ``budget_exhausted`` / ``fallback:<rung>``) every
   result carries.
-* :mod:`repro.resilience.ladder` -- the graceful-degradation ladder a
-  budget-exhausted or empty search descends (warm-start reuse ->
-  greedy Table-2-validated heuristic tiling -> minimal mapping), and the rung classification recorded into plans
-  and reports.
+* :mod:`repro.resilience.ladder` -- the graceful-degradation rungs
+  (TileSeek's warm-start reuse, DPipe's first order) a budget-cut
+  search can fall back to, recorded into plans and reports.
 * :mod:`repro.resilience.diagnostics` -- typed infeasibility: when no
   tiling fits the Table-2 buffer model, a :class:`BufferDiagnosis`
   names the overflowing module, the overflow in words and the
@@ -34,8 +33,7 @@ _EXPORTS = {
         "BufferDiagnosis", "diagnose_infeasible",
     ),
     "repro.resilience.ladder": (
-        "RUNG_FIRST_ORDER", "RUNG_HEURISTIC", "RUNG_MINIMAL",
-        "RUNG_WARM_START", "classify_rung",
+        "RUNG_FIRST_ORDER", "RUNG_WARM_START",
     ),
 }
 

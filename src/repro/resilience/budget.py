@@ -17,13 +17,15 @@ answer is.
 Every search result carries a *provenance* string:
 
 ``complete``
-    The search ran to its configured iteration/order caps.
+    The search finished: DPipe ran to its order caps; TileSeek
+    certified or reached the exact optimum of its grid.
 ``budget_exhausted``
     The budget ran out mid-search; the best-so-far incumbent was
     returned (an anytime result, still fully validated).
 ``fallback:<rung>``
-    The search produced nothing usable and a degradation-ladder rung
-    (:mod:`repro.resilience.ladder`) supplied the result.
+    Something other than the search's own answer -- a
+    degradation-ladder rung (:mod:`repro.resilience.ladder`) --
+    supplied the result.
 """
 
 from __future__ import annotations

@@ -26,6 +26,10 @@ Two resilience behaviours (both deterministic):
   unit per iteration; on exhaustion the search stops and returns its
   best-so-far incumbent with :attr:`MCTSStats.exhausted` set -- the
   anytime contract.
+
+An optional ``stop`` predicate ends the search early (not exhausted)
+once a new best assignment is known to be optimal -- TileSeek passes
+its exact-optimum certificate.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.resilience.budget import Budget
 Assignment = Tuple[int, ...]
 Evaluate = Callable[[Assignment], float]
 Viable = Callable[[Assignment, int], List[int]]
+Stop = Callable[[Assignment], bool]
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,7 @@ def mcts_search(
     exploration: float = 1.4,
     viable: Optional[Viable] = None,
     budget: Optional[Budget] = None,
+    stop: Optional[Stop] = None,
 ) -> MCTSStats:
     """Run MCTS over a fixed-depth decision tree, one leaf per
     iteration.
@@ -119,6 +125,9 @@ def mcts_search(
         budget: Optional deterministic unit budget, charged one unit
             per iteration; exhaustion ends the search with its
             best-so-far result.
+        stop: Optional predicate on each new best assignment; True
+            (the assignment is a proven optimum) ends the search
+            there, as a completed (not exhausted) search.
 
     Returns:
         Search statistics including the best complete assignment seen.
@@ -220,6 +229,8 @@ def mcts_search(
             if reward > best_reward:
                 best_reward = reward
                 best_assignment = assignment
+                if stop is not None and stop(assignment):
+                    break
         # Backpropagation.
         for visited in path:
             visited.visits += 1

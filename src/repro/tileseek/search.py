@@ -5,12 +5,16 @@ Binds the generic MCTS to the tiling problem: candidate grids for the
 analytical reward, and a memoized reward per leaf (MCTS revisits
 leaves; Timeloop-style evaluation is the expensive step in the paper).
 
-The search prices each leaf from hoisted constants -- the Table-2
-footprint in exact Python integers and the traffic total of
-:func:`traffic_model` -- and runs :func:`assess_tiling` only for the
-reference and the winner.  It prunes each prefix once per candidate
-level by bisecting for the end of the level's feasible prefix.  The
-original one-candidate-at-a-time search is kept as a test oracle
+Before any MCTS iteration the driver computes the exact optimum of
+its own grid -- traffic depends on ``(b, p)`` only and falls with
+``p`` -- and stops at once when the greedy anchor attains it.  MCTS
+runs only where the anchor misses, with rewards normalised into
+``(0, 1]`` against that optimum, and ends as soon as it reaches it;
+the exact argmin then joins the incumbents.  Leaves are priced from
+hoisted constants -- the Table-2 footprint in exact Python integers
+and the traffic total of :func:`traffic_model` -- and
+:func:`assess_tiling` runs only for the winner.  The one-candidate-
+at-a-time search is kept as a test oracle
 (``tests/oracles/tileseek_scalar.py``); the two are byte-identical by
 contract -- same :class:`TileSeekResult` (config, assessment, stats,
 provenance) for every input.  See DESIGN.md §10 for the exactness
@@ -20,7 +24,7 @@ argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.spec import ArchitectureSpec
 from repro.model.workload import Workload
@@ -31,7 +35,7 @@ from repro.resilience.budget import (
     fallback_provenance,
     resolve_budget,
 )
-from repro.resilience.ladder import classify_rung
+from repro.resilience.ladder import RUNG_WARM_START
 from repro.tileseek.buffer_model import (
     TilingConfig,
     intra_tile_p_prime,
@@ -41,7 +45,6 @@ from repro.tileseek.buffer_model import (
 from repro.tileseek.evaluate import (
     TilingAssessment,
     assess_tiling,
-    reward_for,
     traffic_model,
 )
 from repro.tileseek.mcts import MCTSStats, mcts_search
@@ -69,13 +72,93 @@ def _tile_candidates(limit: int, minimum: int = 1) -> List[int]:
     return sorted(values) or [max(1, min(minimum, limit))]
 
 
+def _prefix_oracle(
+    levels: Sequence[Sequence[int]],
+    footprint: Callable[..., int],
+    capacity: int,
+) -> Callable[[Tuple[int, ...], int], List[int]]:
+    """The minimal-completion prune as a memoised ``viable`` oracle
+    for :func:`mcts_search`: a level's values that still fit the
+    buffer under a prefix, with every later factor at its minimum.
+
+    Levels ascend and Table 2 is monotone in every factor, so the
+    feasible values form a prefix of the level: bisect for its end,
+    once per unique prefix.
+    """
+    minimal = tuple(values[0] for values in levels)
+    cache: Dict[Tuple[int, ...], List[int]] = {}
+
+    def viable(prefix: Tuple[int, ...], level: int) -> List[int]:
+        values = cache.get(prefix)
+        if values is None:
+            tail = minimal[level + 1:]
+            candidates = levels[level]
+            low, high = 0, len(candidates)
+            while low < high:
+                middle = (low + high) // 2
+                if footprint(
+                    *prefix, candidates[middle], *tail
+                ) > capacity:
+                    high = middle
+                else:
+                    low = middle + 1
+            values = candidates[:low]
+            cache[prefix] = values
+        return values
+
+    return viable
+
+
+def _leaf_pricer(
+    footprint: Callable[..., int],
+    capacity: int,
+    traffic: Callable[[int, int], Tuple[float, int, int, float]],
+    optimum: float,
+) -> Tuple[
+    Callable[[Tuple[int, ...]], float],
+    Dict[Tuple[int, ...], float],
+    Set[Tuple[int, ...]],
+]:
+    """The memoised MCTS reward, priced from hoisted constants.
+
+    A leaf's reward is ``reward_for(assess_tiling(cfg), optimum)``
+    without building a config or an assessment: 0 when the Table-2
+    footprint overflows, else the optimum over the leaf's DRAM words
+    -- in ``(0, 1]`` on the grid, as UCB1 assumes (a warm start off
+    the grid may beat the optimum).
+
+    Returns:
+        ``(evaluate, rewards, optimal)``: the reward function, its
+        memo, and the priced leaves whose words equal the optimum.
+    """
+    rewards: Dict[Tuple[int, ...], float] = {}
+    optimal: Set[Tuple[int, ...]] = set()
+
+    def evaluate(assignment: Tuple[int, ...]) -> float:
+        reward = rewards.get(assignment)
+        if reward is None:
+            if footprint(*assignment) > capacity:
+                reward = 0.0
+            else:
+                words = traffic(assignment[0], assignment[3])[0]
+                reward = optimum / words
+                if words == optimum:
+                    optimal.add(assignment)
+            rewards[assignment] = reward
+        return reward
+
+    return evaluate, rewards, optimal
+
+
 @dataclass(frozen=True)
 class TileSeekResult:
     """Outcome of one TileSeek search.
 
     ``provenance`` labels how the winning config was obtained:
-    ``complete`` (full search), ``budget_exhausted`` (anytime MCTS
-    incumbent under a spent budget) or ``fallback:<rung>`` (a
+    ``complete`` (the grid optimum, certified at the anchor or
+    reached by the search), ``budget_exhausted`` (the best of the
+    MCTS incumbent and the exact optimum under a spent budget) or
+    ``fallback:<rung>`` (a
     degradation-ladder rung supplied the result; see
     :mod:`repro.resilience.ladder`).
     """
@@ -94,7 +177,10 @@ class TileSeek:
     """MCTS outer-tiling search (Section 5).
 
     Args:
-        iterations: MCTS rounds (each runs one leaf evaluation).
+        iterations: At most this many MCTS rounds (each runs one
+            leaf evaluation); the search stops earlier -- at zero
+            rounds when the anchor is optimal -- once it holds the
+            grid optimum.
         seed: RNG seed; results are deterministic given it.
         reward_metric: ``"energy"`` or ``"latency"`` (both monotone in
             DRAM traffic under this cost model).
@@ -110,6 +196,8 @@ class TileSeek:
     ) -> None:
         if iterations <= 0:
             raise ValueError("iterations must be positive")
+        if reward_metric not in ("energy", "latency"):
+            raise ValueError(f"unknown reward metric {reward_metric!r}")
         self.iterations = iterations
         self.seed = seed
         self.reward_metric = reward_metric
@@ -180,9 +268,8 @@ class TileSeek:
     ) -> Tuple[int, ...]:
         """The most conservative assignment the grid contains.
 
-        Doubles as the reward-normalization reference and the
-        minimal-completion base of the feasibility prune (the Table-2
-        formulas are monotone in every factor).
+        The minimal-completion base of the feasibility prune (the
+        Table-2 formulas are monotone in every factor).
         """
         return tuple(min(grid[name]) for name in FACTOR_ORDER)
 
@@ -211,8 +298,10 @@ class TileSeek:
                 untouched, so results stay deterministic.
             budget: Deterministic unit budget (MCTS iterations) for
                 this search; ``None`` defers to ``REPRO_BUDGET`` /
-                ``REPRO_DEADLINE``.  On exhaustion the best-so-far
-                result is returned with degraded provenance.
+                ``REPRO_DEADLINE``.  A certified anchor spends none.
+                On exhaustion the better of the MCTS incumbent and
+                the exact optimum is returned with degraded
+                provenance.
             allow_fallback: Whether the degradation ladder may supply
                 the result when the budgeted search yields nothing
                 better; ``None`` defers to ``REPRO_NO_FALLBACK``.
@@ -235,11 +324,7 @@ class TileSeek:
             allow_fallback = fallback_enabled()
         limit = resolve_budget(budget)
         unit_budget = Budget(limit) if limit is not None else None
-        # The minimal (most conservative) assignment doubles as the
-        # reward-normalization reference; seed the reward memo with
-        # it so it is never priced twice.
         minimal = self._minimal_point(grid)
-        minimal_cfg = self._config_from(minimal, fixed)
         footprint = table2_footprint(
             workload.model, fixed["m0"], fixed["rows"]
         )
@@ -261,7 +346,7 @@ class TileSeek:
                 capacity,
                 m0=fixed["m0"],
                 rows=fixed["rows"],
-                cfg=minimal_cfg,
+                cfg=self._config_from(minimal, fixed),
             )
             # Imported lazily: the taxonomy lives in the runner layer,
             # which imports back into tileseek via serialization.
@@ -271,90 +356,52 @@ class TileSeek:
                 f"{workload.describe()} on {arch.name}",
                 diagnosis.as_dict(),
             )
-        reference_assessment = assess_tiling(
-            minimal_cfg, workload, arch
-        )
-        reference = reference_assessment.dram_words
-        # Leaves are priced from hoisted constants: the reward is
-        # ``reward_for(assess_tiling(cfg))`` -- 0 when the Table-2
-        # footprint overflows, else the reference over the traffic
-        # total -- without building a config or an assessment.  Only
-        # the winner is assessed in full, after the search.
+        viable = _prefix_oracle(levels, footprint, capacity)
         traffic = traffic_model(workload, capacity)
-        rewards: Dict[Tuple[int, ...], float] = {
-            minimal: reward_for(
-                reference_assessment, reference, self.reward_metric
-            )
-        }
-
-        def evaluate(assignment: Tuple[int, ...]) -> float:
-            reward = rewards.get(assignment)
-            if reward is None:
-                if footprint(*assignment) > capacity:
-                    reward = 0.0
-                else:
-                    words = traffic(assignment[0], assignment[3])[0]
-                    reward = reference / words if words > 0 else 1.0
-                rewards[assignment] = reward
-            return reward
-
-        # The minimal-completion prune, once per unique prefix over
-        # the whole candidate level.  Levels ascend and Table 2 is
-        # monotone in every factor, so the feasible values form a
-        # prefix of the level: bisect for its end.
-        viable_cache: Dict[Tuple[int, ...], List[int]] = {}
-
-        def viable(
-            prefix: Tuple[int, ...], level: int
-        ) -> List[int]:
-            values = viable_cache.get(prefix)
-            if values is None:
-                tail = minimal[level + 1:]
-                candidates = levels[level]
-                low, high = 0, len(candidates)
-                while low < high:
-                    middle = (low + high) // 2
-                    if footprint(
-                        *prefix, candidates[middle], *tail
-                    ) > capacity:
-                        high = middle
-                    else:
-                        low = middle + 1
-                values = candidates[:low]
-                viable_cache[prefix] = values
-            return values
-
-        stats = mcts_search(
-            levels,
-            evaluate,
-            iterations=self.iterations,
-            seed=self.seed,
-            exploration=self.exploration,
-            viable=viable,
-            budget=unit_budget,
+        # The exact grid optimum (DESIGN.md §10).  Traffic depends on
+        # ``(b, p)`` only and, for a fixed ``b``, never rises with
+        # ``p``; ``d``, ``m1`` and ``s`` only buy feasibility.  So the
+        # optimum is the best point of the line "each feasible ``b``
+        # with its largest feasible ``p`` and minimal companions".
+        # The line's first point is the greedy anchor.
+        d_min, m1_min, s_min = minimal[1], minimal[2], minimal[4]
+        line = []
+        for b in viable((), 0):
+            p = viable((b, d_min, m1_min), 3)[-1]
+            line.append((traffic(b, p)[0], (b, d_min, m1_min, p, s_min)))
+        anchor_words = line[0][0]
+        optimum, exact = min(line, key=lambda point: point[0])
+        evaluate, rewards, optimal = _leaf_pricer(
+            footprint, capacity, traffic, optimum
         )
+        if anchor_words == optimum:
+            # Certified: the anchor is optimal, so no search runs.
+            stats = MCTSStats(
+                iterations=0, evaluations=0, best_reward=-1.0,
+                best_assignment=exact, tree_nodes=0,
+            )
+        else:
+            stats = mcts_search(
+                levels,
+                evaluate,
+                iterations=self.iterations,
+                seed=self.seed,
+                exploration=self.exploration,
+                viable=viable,
+                budget=unit_budget,
+                stop=optimal.__contains__,
+            )
         best_assignment = stats.best_assignment
         best_reward = stats.best_reward
-        # Greedy incumbent: the anchor line (maximal feasible p with
-        # minimal companions) is a strong known-good starting point;
-        # never return anything worse than it.  Warm starts from
-        # adjacent searches join the same incumbent pool.  When a
-        # budget cut the MCTS short, these candidates double as the
-        # degradation ladder (anchor = ``heuristic`` rung, warm
-        # starts = ``warm_start``); they are deterministic, never
-        # budget-charged, and feasible by construction/validation.
-        anchor_p = max(
-            viable((minimal[0], minimal[1], minimal[2]), 3),
-            default=minimal[3],
-        )
-        incumbent = (
-            minimal[0], minimal[1], minimal[2], anchor_p, minimal[4],
-        )
+        # The warm starts, then the exact optimum, challenge the MCTS
+        # incumbent; a strict ``>`` keeps an earlier tie.  The exact
+        # optimum belongs to the search's own answer; a warm start
+        # that wins a budget-cut search is the ``warm_start`` rung of
+        # the degradation ladder.  Neither is budget-charged.
+        candidates = warm + (exact,)
         winner_index = -1  # the MCTS incumbent
         fresh = 0  # incumbents priced by a real evaluator call
-        for index, candidate in enumerate(
-            (incumbent,) + warm
-        ):
+        for index, candidate in enumerate(candidates):
             if candidate not in rewards:
                 fresh += 1
             candidate_reward = evaluate(candidate)
@@ -364,30 +411,20 @@ class TileSeek:
                 winner_index = index
         if not stats.exhausted:
             provenance = PROVENANCE_COMPLETE
-        elif winner_index < 0:
+        elif not 0 <= winner_index < len(warm):
             provenance = PROVENANCE_BUDGET_EXHAUSTED
         else:
-            provenance = fallback_provenance(classify_rung(
-                winner_index,
-                n_warm=len(warm),
-                anchor_is_minimal=anchor_p == minimal[3],
-            ))
+            provenance = fallback_provenance(RUNG_WARM_START)
             if not allow_fallback:
                 raise RuntimeError(
                     f"search for {workload.describe()} on "
                     f"{arch.name} degraded to {provenance} and "
                     f"fallback is disabled (REPRO_NO_FALLBACK)"
                 )
-        # Assess only the winner (the reference's assessment serves
-        # when the minimal point wins).
         config = self._config_from(best_assignment, fixed)
-        if best_assignment == minimal:
-            assessment = reference_assessment
-        else:
-            assessment = assess_tiling(config, workload, arch)
         return TileSeekResult(
             config=config,
-            assessment=assessment,
+            assessment=assess_tiling(config, workload, arch),
             stats=MCTSStats(
                 iterations=stats.iterations,
                 evaluations=stats.evaluations + fresh,
@@ -430,7 +467,12 @@ class TileSeek:
         grid: Optional[Dict[str, List[int]]] = None,
     ) -> float:
         """Traffic of the minimal (most conservative) configuration,
-        used to normalize rewards to O(1).
+        the reward scale of the baseline searchers.
+
+        The minimal tile carries the most traffic, so the ratio
+        rewards it yields are at least 1 on every feasible leaf and
+        reach the thousands -- fine for a plain argmax, not for UCB1
+        (:meth:`search` normalises against the exact optimum).
 
         Args:
             grid: The candidate grid, if the caller already built it

@@ -471,6 +471,25 @@ class TestTableKeyedKernels:
         assert plain == plan_cascade_legacy(cascade, "mha", tile,
                                             cloud, 7)
 
+    def test_budgeted_window_plan_carries_kernel_provenance(
+        self, cloud, builds, monkeypatch
+    ):
+        """Every candidate a kernel yields -- the bipartition windows
+        included -- carries the kernel's provenance, so a plan whose
+        schedule search was cut is never labelled complete."""
+        from repro.dpipe import planner
+        from repro.validate import force_validation
+
+        cascade = attention_cascade()
+        (tile, *_) = self._unread_variants("mha", cascade, cloud)
+        monkeypatch.setenv("REPRO_BUDGET", "16")
+        with force_validation(False):
+            plan = plan_cascade(cascade, "mha", tile, cloud, 7)
+        (kernel,) = planner._KERNEL_CACHE.values()
+        assert kernel.provenance == "fallback:first_order"
+        assert plan.bipartition is not None  # a window plan won
+        assert plan.provenance == kernel.provenance
+
     def test_validation_builds_every_kernel_fresh(
         self, cloud, builds
     ):

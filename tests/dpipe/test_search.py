@@ -79,8 +79,8 @@ def random_table(rng: random.Random,
     seconds = {}
     loads = {}
     for name in dag.nodes:
-        seconds[(name, TWO_D)] = rng.choice(choices)
-        seconds[(name, ONE_D)] = rng.choice(choices)
+        seconds[(name, 0)] = rng.choice(choices)
+        seconds[(name, 1)] = rng.choice(choices)
         loads[name] = rng.choice((1.0, 4.0))
     return LatencyTable(seconds=seconds, loads=loads)
 
@@ -209,7 +209,7 @@ class TestSearchEdgeCases:
     def test_single_node(self):
         dag = ComputationDAG(nodes=("a",), edges=frozenset())
         table = LatencyTable(
-            seconds={("a", TWO_D): 2.0, ("a", ONE_D): 3.0},
+            seconds={("a", 0): 2.0, ("a", 1): 3.0},
             loads={"a": 1.0},
         )
         order, result = fused_best_order(dag, table, 48)
@@ -224,7 +224,7 @@ class TestSearchEdgeCases:
         )
         table = LatencyTable(
             seconds={(n, k): 1.0 for n in "abc"
-                     for k in (TWO_D, ONE_D)},
+                     for k in (0, 1)},
             loads={n: 1.0 for n in "abc"},
         )
         order, result = fused_best_order(dag, table, 48)
@@ -238,7 +238,7 @@ class TestSearchEdgeCases:
         dag = ComputationDAG(nodes=names, edges=frozenset())
         table = LatencyTable(
             seconds={(n, k): 1.0 for n in names
-                     for k in (TWO_D, ONE_D)},
+                     for k in (0, 1)},
             loads={n: 1.0 for n in names},
         )
         assert_identical(
@@ -326,7 +326,7 @@ def uniform_table(dag):
 
     bases = {_strip_epoch(n) for n in dag.nodes}
     return LatencyTable(
-        seconds={(b, k): 1.0 for b in bases for k in (TWO_D, ONE_D)},
+        seconds={(b, k): 1.0 for b in bases for k in (0, 1)},
         loads={b: 1.0 for b in bases},
     )
 

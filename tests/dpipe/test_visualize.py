@@ -20,8 +20,8 @@ def table(entries):
     seconds = {}
     loads = {}
     for name, (t2, t1) in entries.items():
-        seconds[(name, TWO_D)] = t2
-        seconds[(name, ONE_D)] = t1
+        seconds[(name, 0)] = t2
+        seconds[(name, 1)] = t1
         loads[name] = 1.0
     return LatencyTable(seconds=seconds, loads=loads)
 

@@ -1,10 +1,12 @@
-"""The original scalar TileSeek search, kept verbatim.
+"""The original scalar TileSeek search.
 
 The differential reference for the production search
 (:meth:`repro.tileseek.search.TileSeek.search` driving
 :func:`repro.tileseek.mcts.mcts_search`): one candidate at a time
 through :func:`assess_tiling`, a per-candidate ``prune`` predicate
-instead of the per-prefix ``viable`` oracle, and no early exit.  The
+instead of the per-prefix ``viable`` oracle, and no bisection.  It
+carries the production search's exact-optimum certificate, reward
+normalisation and exact incumbent, each computed its own way.  The
 property suite, the CI oracle steps and
 ``benchmarks/bench_framework_perf.py`` assert the production path
 returns identical :class:`TileSeekResult` bytes and
@@ -27,7 +29,7 @@ from repro.resilience.budget import (
     fallback_provenance,
     resolve_budget,
 )
-from repro.resilience.ladder import classify_rung
+from repro.resilience.ladder import RUNG_WARM_START
 from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.evaluate import (
     TilingAssessment,
@@ -40,6 +42,7 @@ from repro.tileseek.search import FACTOR_ORDER, TileSeekResult
 Assignment = Tuple[int, ...]
 Evaluate = Callable[[Assignment], float]
 Prune = Callable[[Assignment], bool]
+Stop = Callable[[Assignment], bool]
 
 
 @dataclass
@@ -72,6 +75,7 @@ def mcts_search(
     exploration: float = 1.4,
     prune: Optional[Prune] = None,
     budget: Optional[Budget] = None,
+    stop: Optional[Stop] = None,
 ) -> MCTSStats:
     """Run MCTS over a fixed-depth decision tree.
 
@@ -89,6 +93,8 @@ def mcts_search(
         budget: Optional deterministic unit budget, charged one unit
             per iteration; exhaustion ends the search with its
             best-so-far result.
+        stop: Optional predicate on each new best assignment; True
+            ends the search after that iteration.
 
     Returns:
         Search statistics including the best complete assignment seen.
@@ -174,6 +180,8 @@ def mcts_search(
             if reward > best_reward:
                 best_reward = reward
                 best_assignment = tuple(assignment)
+                if stop is not None and stop(best_assignment):
+                    break
         # Backpropagation.
         for visited in path:
             visited.visits += 1
@@ -219,11 +227,7 @@ def search_scalar(
         allow_fallback = fallback_enabled()
     limit = resolve_budget(budget)
     unit_budget = Budget(limit) if limit is not None else None
-    # The minimal (most conservative) assignment doubles as the
-    # reward-normalization reference; seed the evaluation cache
-    # with its assessment so it is never priced twice.
     minimal = self._minimal_point(grid)
-    minimal_cfg = self._config_from(minimal, fixed)
     # If even the minimal tile overflows the buffer, monotonicity
     # says nothing in the grid fits: diagnose instead of
     # searching.  Imported lazily -- diagnostics imports the
@@ -236,7 +240,7 @@ def search_scalar(
         arch.buffer_words,
         m0=fixed["m0"],
         rows=fixed["rows"],
-        cfg=minimal_cfg,
+        cfg=self._config_from(minimal, fixed),
     )
     if diagnosis is not None:
         # Imported lazily: the taxonomy lives in the runner layer,
@@ -247,35 +251,6 @@ def search_scalar(
             f"{workload.describe()} on {arch.name}",
             diagnosis.as_dict(),
         )
-    reference_assessment = assess_tiling(
-        minimal_cfg, workload, arch
-    )
-    reference = reference_assessment.dram_words
-    cache: Dict[
-        Tuple[int, ...], Tuple[float, TilingAssessment]
-    ] = {
-        minimal: (
-            reward_for(
-                reference_assessment, reference,
-                self.reward_metric,
-            ),
-            reference_assessment,
-        )
-    }
-
-    def evaluate(assignment: Tuple[int, ...]) -> float:
-        entry = cache.get(assignment)
-        if entry is None:
-            cfg = self._config_from(assignment, fixed)
-            assessment = assess_tiling(cfg, workload, arch)
-            entry = (
-                reward_for(
-                    assessment, reference, self.reward_metric
-                ),
-                assessment,
-            )
-            cache[assignment] = entry
-        return entry[0]
 
     # Rollouts revisit the same prefixes constantly; the Table-2
     # completion check is pure, so memoize it per prefix.
@@ -300,40 +275,70 @@ def search_scalar(
             prune_cache[partial] = infeasible
         return infeasible
 
-    stats = mcts_search(
-        levels,
-        evaluate,
-        iterations=self.iterations,
-        seed=self.seed,
-        exploration=self.exploration,
-        prune=prune,
-        budget=unit_budget,
-    )
+    # Every configuration is assessed at most once.
+    assessments: Dict[Tuple[int, ...], TilingAssessment] = {}
+
+    def assessment_of(assignment: Tuple[int, ...]) -> TilingAssessment:
+        assessment = assessments.get(assignment)
+        if assessment is None:
+            cfg = self._config_from(assignment, fixed)
+            assessment = assess_tiling(cfg, workload, arch)
+            assessments[assignment] = assessment
+        return assessment
+
+    # The exact grid optimum: for each unpruned ``b``, the largest
+    # unpruned ``p`` with minimal companions, assessed one by one.
+    # The first such point is the greedy anchor.
+    d_min, m1_min, s_min = min(grid["d"]), min(grid["m1"]), min(grid["s"])
+    line = []
+    for b in grid["b"]:
+        if prune((b,)):
+            continue
+        p = max(
+            p for p in grid["p"] if not prune((b, d_min, m1_min, p))
+        )
+        assignment = (b, d_min, m1_min, p, s_min)
+        line.append((assessment_of(assignment).dram_words, assignment))
+    anchor_words = line[0][0]
+    optimum, exact = min(line, key=lambda point: point[0])
+
+    cache: Dict[Tuple[int, ...], float] = {}
+
+    def evaluate(assignment: Tuple[int, ...]) -> float:
+        reward = cache.get(assignment)
+        if reward is None:
+            reward = reward_for(
+                assessment_of(assignment), optimum, self.reward_metric
+            )
+            cache[assignment] = reward
+        return reward
+
+    if anchor_words == optimum:
+        stats = MCTSStats(
+            iterations=0, evaluations=0, best_reward=-1.0,
+            best_assignment=exact, tree_nodes=0,
+        )
+    else:
+        stats = mcts_search(
+            levels,
+            evaluate,
+            iterations=self.iterations,
+            seed=self.seed,
+            exploration=self.exploration,
+            prune=prune,
+            budget=unit_budget,
+            stop=lambda assignment: (
+                assessments[assignment].dram_words == optimum
+            ),
+        )
     best_assignment = stats.best_assignment
     best_reward = stats.best_reward
-    # Greedy incumbent: the anchor line (maximal feasible p with
-    # minimal companions) is a strong known-good starting point;
-    # never return anything worse than it.  Warm starts from
-    # adjacent searches join the same incumbent pool.  When a
-    # budget cut the MCTS short, these candidates double as the
-    # degradation ladder (anchor = ``heuristic`` rung, warm starts
-    # = ``warm_start``); they are deterministic, never
-    # budget-charged, and feasible by construction/validation.
-    anchor_p = max(
-        (p for p in grid["p"] if not prune(
-            (min(grid["b"]), min(grid["d"]), min(grid["m1"]), p)
-        )),
-        default=min(grid["p"]),
-    )
-    incumbent = (
-        min(grid["b"]), min(grid["d"]), min(grid["m1"]),
-        anchor_p, min(grid["s"]),
-    )
+    # The warm starts (the ``warm_start`` rung), then the exact
+    # optimum (the search's own answer), challenge the MCTS incumbent.
+    candidates = warm + (exact,)
     winner_index = -1  # the MCTS incumbent
     fresh = 0  # incumbents priced by a real evaluator call
-    for index, candidate in enumerate(
-        (incumbent,) + warm
-    ):
+    for index, candidate in enumerate(candidates):
         if candidate not in cache:
             fresh += 1
         candidate_reward = evaluate(candidate)
@@ -343,27 +348,19 @@ def search_scalar(
             winner_index = index
     if not stats.exhausted:
         provenance = PROVENANCE_COMPLETE
-    elif winner_index < 0:
+    elif not 0 <= winner_index < len(warm):
         provenance = PROVENANCE_BUDGET_EXHAUSTED
     else:
-        provenance = fallback_provenance(classify_rung(
-            winner_index,
-            n_warm=len(warm),
-            anchor_is_minimal=anchor_p == min(grid["p"]),
-        ))
+        provenance = fallback_provenance(RUNG_WARM_START)
         if not allow_fallback:
             raise RuntimeError(
                 f"search for {workload.describe()} on "
                 f"{arch.name} degraded to {provenance} and "
                 f"fallback is disabled (REPRO_NO_FALLBACK)"
             )
-    # The winner was priced through the cache -- reuse its
-    # assessment instead of re-running the simulation step.
-    assessment = cache[best_assignment][1]
-    config = self._config_from(best_assignment, fixed)
     return TileSeekResult(
-        config=config,
-        assessment=assessment,
+        config=self._config_from(best_assignment, fixed),
+        assessment=assessments[best_assignment],
         stats=MCTSStats(
             iterations=stats.iterations,
             evaluations=stats.evaluations + fresh,

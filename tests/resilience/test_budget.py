@@ -15,14 +15,7 @@ from repro.resilience.budget import (
     resolve_budget,
     worst_provenance,
 )
-from repro.resilience.ladder import (
-    LADDER,
-    RUNG_FIRST_ORDER,
-    RUNG_HEURISTIC,
-    RUNG_MINIMAL,
-    RUNG_WARM_START,
-    classify_rung,
-)
+from repro.resilience.ladder import RUNG_FIRST_ORDER, RUNG_WARM_START
 
 
 class TestBudget:
@@ -82,7 +75,7 @@ class TestResolveBudget:
 
 class TestProvenance:
     def test_severity_order(self):
-        fallback = fallback_provenance(RUNG_HEURISTIC)
+        fallback = fallback_provenance(RUNG_WARM_START)
         assert worst_provenance(
             PROVENANCE_COMPLETE, PROVENANCE_BUDGET_EXHAUSTED
         ) == PROVENANCE_BUDGET_EXHAUSTED
@@ -92,7 +85,7 @@ class TestProvenance:
 
     def test_ties_keep_first(self):
         first = fallback_provenance(RUNG_WARM_START)
-        second = fallback_provenance(RUNG_MINIMAL)
+        second = fallback_provenance(RUNG_FIRST_ORDER)
         assert worst_provenance(first, second) == first
 
     def test_empty_is_complete(self):
@@ -102,27 +95,6 @@ class TestProvenance:
         assert not is_degraded(PROVENANCE_COMPLETE)
         assert is_degraded(PROVENANCE_BUDGET_EXHAUSTED)
         assert is_degraded(fallback_provenance(RUNG_FIRST_ORDER))
-
-
-class TestLadder:
-    def test_rungs_are_distinct(self):
-        assert len(set(LADDER)) == len(LADDER)
-
-    def test_warm_start_rung(self):
-        assert classify_rung(
-            1, n_warm=2, anchor_is_minimal=False
-        ) == RUNG_WARM_START
-        assert classify_rung(
-            2, n_warm=2, anchor_is_minimal=True
-        ) == RUNG_WARM_START
-
-    def test_heuristic_vs_minimal_anchor(self):
-        assert classify_rung(
-            0, n_warm=2, anchor_is_minimal=False
-        ) == RUNG_HEURISTIC
-        assert classify_rung(
-            0, n_warm=2, anchor_is_minimal=True
-        ) == RUNG_MINIMAL
 
 
 class TestFallbackToggle:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.model.config import named_model
 from repro.model.workload import Workload
-from repro.resilience.budget import PROVENANCE_COMPLETE, is_degraded
+from repro.resilience.budget import PROVENANCE_COMPLETE
 from repro.resilience.diagnostics import diagnose_infeasible
 from repro.runner.errors import InfeasiblePoint
 from repro.tileseek.buffer_model import fused_buffer_requirement
@@ -49,7 +49,10 @@ class TestMillionTokenSequence:
             workload, edge, budget=2
         )
         assert result.feasible
-        assert is_degraded(result.provenance)
+        # At a million tokens the greedy anchor is the grid optimum:
+        # the certificate answers before the budget is charged.
+        assert result.provenance == PROVENANCE_COMPLETE
+        assert result.stats.iterations == 0
         audited(result, workload, edge)
 
 

@@ -312,7 +312,10 @@ class TestFullSearchIdentity:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_byte_identity_grid(self, model_name, seed):
         for arch in (cloud_architecture(), edge_architecture()):
-            for seq_len in (4096, 65536):
+            # 512 tokens: the anchor misses the optimum, so the MCTS
+            # runs (and a budget of 16 cuts it); elsewhere the anchor
+            # is certified.
+            for seq_len in (512, 4096, 65536):
                 workload = Workload(
                     named_model(model_name), seq_len=seq_len,
                     batch=8,
@@ -330,9 +333,8 @@ class TestFullSearchIdentity:
                     )
 
     def test_warm_start_and_provenance_identity(self, cloud):
-        workload = Workload(
-            named_model("llama3"), seq_len=65536, batch=64
-        )
+        # The anchor misses the optimum here, so budgets bite.
+        workload = Workload(named_model("t5"), seq_len=2048, batch=16)
         converged = TileSeek(iterations=400, seed=0).search(
             workload, cloud
         )
@@ -357,6 +359,7 @@ class TestFullSearchIdentity:
                 provenances.add(product.provenance)
         # The grid exercised the full provenance taxonomy.
         assert "complete" in provenances
+        assert "budget_exhausted" in provenances
         assert any(
             p.startswith("fallback:") for p in provenances
         )

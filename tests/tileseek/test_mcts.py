@@ -29,6 +29,33 @@ class TestMCTSBasics:
         assert a.best_assignment == b.best_assignment
         assert a.best_reward == b.best_reward
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stop_ends_at_the_first_proven_optimum(self, seed):
+        from tests.oracles import tileseek_scalar
+
+        levels = [[0, 1, 2]] * 3
+
+        def evaluate(assignment):
+            return float(sum(assignment)) / 6.0
+
+        for driver in (mcts_search, tileseek_scalar.mcts_search):
+            full = driver(levels, evaluate, iterations=200, seed=seed)
+            stopped = driver(
+                levels, evaluate, iterations=200, seed=seed,
+                stop=lambda assignment: sum(assignment) == 6,
+            )
+            assert stopped.best_assignment == (2, 2, 2)
+            assert stopped.evaluations == stopped.iterations < 200
+            assert not stopped.exhausted
+            assert full.iterations == 200
+            # The stopped run is the full run's prefix.
+            prefix = driver(
+                levels, evaluate, iterations=stopped.iterations,
+                seed=seed,
+            )
+            assert prefix.best_assignment == (2, 2, 2)
+            assert prefix.tree_nodes == stopped.tree_nodes
+
     def test_evaluations_match_iterations(self):
         stats = mcts_search(
             [[0, 1]], lambda a: 1.0, iterations=25, seed=0

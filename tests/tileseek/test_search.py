@@ -13,12 +13,20 @@ from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.evaluate import assess_tiling, reward_for
 from repro.tileseek.search import FACTOR_ORDER, TileSeek, _tile_candidates
 from tests.oracles import tileseek_scalar
+from tests.oracles.tileseek_exact import exact_optimum
 from tests.oracles.tileseek_scalar import search_scalar
 
 
 @pytest.fixture
 def workload():
     return Workload(named_model("llama3"), seq_len=16384, batch=64)
+
+
+@pytest.fixture
+def searched_workload():
+    """A point whose greedy anchor misses the grid optimum, so the
+    MCTS runs (at ``workload`` the anchor is certified optimal)."""
+    return Workload(named_model("t5"), seq_len=2048, batch=16)
 
 
 class TestCandidates:
@@ -96,6 +104,10 @@ class TestSearch:
     def test_invalid_iterations_rejected(self):
         with pytest.raises(ValueError):
             TileSeek(iterations=0)
+
+    def test_unknown_reward_metric_rejected(self):
+        with pytest.raises(ValueError, match="reward metric"):
+            TileSeek(reward_metric="power")
 
 
 class TestAssessment:
@@ -206,7 +218,7 @@ class TestWarmStart:
 
 class TestSearchEfficiency:
     def test_prune_feasibility_checks_memoized(
-        self, workload, cloud, monkeypatch
+        self, searched_workload, cloud, monkeypatch
     ):
         """Rollouts revisit prefixes; each Table-2 completion check
         must run at most once per unique prefix (scalar oracle)."""
@@ -237,18 +249,20 @@ class TestSearchEfficiency:
         monkeypatch.setattr(
             tileseek_scalar, "mcts_search", wrapped_mcts
         )
-        search_scalar(TileSeek(iterations=300, seed=0), workload, cloud)
+        search_scalar(
+            TileSeek(iterations=300, seed=0), searched_workload, cloud
+        )
         assert prune_calls[0] > 0
         # Strictly fewer buffer evaluations than prune invocations:
         # repeats were served from the memo.
         assert buffer_calls[0] < prune_calls[0]
 
     def test_no_config_assessed_twice(
-        self, workload, cloud, monkeypatch
+        self, searched_workload, cloud, monkeypatch
     ):
-        """The reference config and the winner are both priced
-        exactly once -- no duplicated assess_tiling work (scalar
-        oracle)."""
+        """The exact-optimum line, the leaves and the winner are each
+        priced exactly once -- no duplicated assess_tiling work
+        (scalar oracle)."""
         assessed = []
         real_assess = tileseek_scalar.assess_tiling
 
@@ -259,11 +273,13 @@ class TestSearchEfficiency:
         monkeypatch.setattr(
             tileseek_scalar, "assess_tiling", recording_assess
         )
-        search_scalar(TileSeek(iterations=200, seed=1), workload, cloud)
+        search_scalar(
+            TileSeek(iterations=200, seed=1), searched_workload, cloud
+        )
         assert len(assessed) == len(set(assessed))
 
     def test_prune_bisection_probe_count(
-        self, workload, cloud, monkeypatch
+        self, searched_workload, cloud, monkeypatch
     ):
         """The production viability oracle bisects each ascending
         candidate level once per unique prefix for the end of its
@@ -285,17 +301,15 @@ class TestSearchEfficiency:
 
         queries = []
         answers = {}
-        during_search = [0]
-        real_mcts = search_module.mcts_search
+        pruned = [0]
+        real_oracle = search_module._prefix_oracle
 
-        def wrapped_mcts(levels, evaluate, **kwargs):
-            inner = kwargs["viable"]
-            # Leaf pricing probes the footprint too; count the prune
-            # alone.
-            start = probes[0]
-            pruned = [0]
+        def recording_oracle(levels, footprint, capacity):
+            inner = real_oracle(levels, footprint, capacity)
 
             def recording_viable(prefix, level):
+                # Leaf pricing probes the footprint too; count the
+                # prune alone.
                 before = probes[0]
                 values = inner(prefix, level)
                 pruned[0] += probes[0] - before
@@ -303,19 +317,19 @@ class TestSearchEfficiency:
                 answers[prefix] = (len(values), len(levels[level]))
                 return values
 
-            kwargs["viable"] = recording_viable
-            stats = real_mcts(levels, evaluate, **kwargs)
-            during_search[0] = pruned[0]
-            assert probes[0] - start > pruned[0]  # leaves probed too
-            return stats
+            return recording_viable
 
         monkeypatch.setattr(
             search_module, "table2_footprint", counting_footprint
         )
         monkeypatch.setattr(
-            search_module, "mcts_search", wrapped_mcts
+            search_module, "_prefix_oracle", recording_oracle
         )
-        TileSeek(iterations=300, seed=0).search(workload, cloud)
+        result = TileSeek(iterations=300, seed=0).search(
+            searched_workload, cloud
+        )
+        assert result.stats.iterations > 0  # the MCTS ran
+        assert probes[0] > pruned[0]  # leaves probed too
         assert len(queries) > len(answers) > 0
 
         def bisection_probes(kept, offered):
@@ -333,7 +347,7 @@ class TestSearchEfficiency:
             bisection_probes(kept, offered)
             for kept, offered in answers.values()
         )
-        assert during_search[0] == expected
+        assert pruned[0] == expected
         # Fewer than the linear walk's kept values plus the first
         # overflowing one.
         assert expected < sum(
@@ -341,12 +355,9 @@ class TestSearchEfficiency:
             for kept, offered in answers.values()
         )
 
-    def test_assesses_only_reference_and_winner(
-        self, monkeypatch
-    ):
-        """``assess_tiling`` runs at most twice per search: for the
-        minimal reference, then for the winner unless the minimal
-        point won.  Every other leaf is priced from hoisted
+    def test_assesses_only_the_winner(self, monkeypatch):
+        """``assess_tiling`` runs once per search, for the winner.
+        The exact-optimum line and every leaf are priced from hoisted
         constants."""
         import repro.tileseek.search as search_module
 
@@ -360,12 +371,15 @@ class TestSearchEfficiency:
         monkeypatch.setattr(
             search_module, "assess_tiling", recording_assess
         )
-        searches = 0
+        searches = ran = 0
         for arch_name in ("cloud", "edge"):
             arch = named_architecture(arch_name)
-            for seq_len, batch in ((512, 1), (16384, 64)):
+            for model_name, seq_len, batch in (
+                ("llama3", 512, 1), ("llama3", 16384, 64),
+                ("t5", 2048, 16),
+            ):
                 workload = Workload(
-                    named_model("llama3"), seq_len=seq_len,
+                    named_model(model_name), seq_len=seq_len,
                     batch=batch,
                 )
                 for budget in (None, 1, 40):
@@ -380,23 +394,17 @@ class TestSearchEfficiency:
                         ),
                     )
                     searches += 1
-                    grid = searcher.candidate_grid(workload, arch)
-                    minimal = searcher._config_from(
-                        searcher._minimal_point(grid),
-                        searcher.fixed_factors(arch),
-                    )
-                    expected = [minimal]
-                    if result.config != minimal:
-                        expected.append(result.config)
-                    assert assessed == expected
+                    ran += result.stats.iterations > 0
+                    assert assessed == [result.config]
                     assert result.assessment == real_assess(
                         result.config, workload, arch
                     )
-        assert searches == 12
+        assert searches == 18
+        assert ran > 0
         # A spent budget on a one-token, one-sequence workload: the
-        # grid's only ``(b, p)`` is the minimal one, so the anchor
-        # incumbent is the minimal point, it wins, and the reference's
-        # assessment is reused.
+        # grid's only ``(b, p)`` is the minimal one, so the anchor is
+        # the minimal point and certifies itself -- the budget is
+        # never charged.
         assessed.clear()
         arch = named_architecture("edge")
         workload = Workload(named_model("llama3"), seq_len=1, batch=1)
@@ -411,6 +419,7 @@ class TestSearchEfficiency:
             searcher.fixed_factors(arch),
         )
         assert result.config == minimal
+        assert result.provenance == "complete"
         assert assessed == [minimal]
 
     @pytest.mark.parametrize("model_name", sorted(MODEL_ZOO))
@@ -419,50 +428,50 @@ class TestSearchEfficiency:
     ):
         """Differential: every leaf a search prices -- plus a sample
         of the whole grid, infeasible points included -- gets
-        exactly ``reward_for(assess_tiling(cfg))``, bit for bit."""
+        exactly ``reward_for(assess_tiling(cfg), optimum)``, bit for
+        bit, where the optimum is the exact oracle's."""
         import random
 
         import repro.tileseek.search as search_module
 
         captured = {}
-        real_mcts = search_module.mcts_search
+        real_pricer = search_module._leaf_pricer
 
-        def capturing_mcts(levels, evaluate, **kwargs):
-            def recording(assignment):
-                reward = evaluate(assignment)
-                captured["priced"][assignment] = reward
-                return reward
-
-            captured.update(levels=levels, evaluate=evaluate)
-            return real_mcts(levels, recording, **kwargs)
+        def capturing_pricer(footprint, capacity, traffic, optimum):
+            evaluate, rewards, optimal = real_pricer(
+                footprint, capacity, traffic, optimum
+            )
+            captured.update(
+                evaluate=evaluate, rewards=rewards, optimum=optimum
+            )
+            return evaluate, rewards, optimal
 
         monkeypatch.setattr(
-            search_module, "mcts_search", capturing_mcts
+            search_module, "_leaf_pricer", capturing_pricer
         )
         rng = random.Random(20)
-        checked = infeasible = 0
+        checked = infeasible = searched = 0
         for arch_name in ("cloud", "edge", "edge32", "edge64"):
             arch = named_architecture(arch_name)
             for seq_len, batch, causal in (
-                (512, 1, False), (16384, 64, True), (1 << 20, 4, False),
+                (128, 4, False), (512, 1, False), (512, 16, True),
+                (16384, 64, True), (1 << 20, 4, False),
             ):
                 workload = Workload(
                     named_model(model_name), seq_len=seq_len,
                     batch=batch, causal=causal,
                 )
-                captured["priced"] = {}
                 searcher = TileSeek(iterations=120, seed=3)
-                searcher.search(workload, arch)
-                levels = captured["levels"]
+                result = searcher.search(workload, arch)
+                searched += result.stats.iterations > 0
+                optimum, _ = exact_optimum(searcher, workload, arch)
+                assert captured["optimum"] == optimum
+                grid = searcher.candidate_grid(workload, arch)
+                levels = [grid[name] for name in FACTOR_ORDER]
                 fixed = searcher.fixed_factors(arch)
-                minimal = tuple(values[0] for values in levels)
-                reference = assess_tiling(
-                    searcher._config_from(minimal, fixed),
-                    workload, arch,
-                ).dram_words
-                priced = dict(captured["priced"])
+                priced = dict(captured["rewards"])
                 assert priced
-                for _ in range(40):
+                for _ in range(60):
                     sample = tuple(rng.choice(v) for v in levels)
                     priced[sample] = captured["evaluate"](sample)
                 for assignment, reward in priced.items():
@@ -471,13 +480,15 @@ class TestSearchEfficiency:
                             searcher._config_from(assignment, fixed),
                             workload, arch,
                         ),
-                        reference,
+                        optimum,
                     )
                     assert reward.hex() == expected.hex(), (
                         arch_name, seq_len, assignment
                     )
+                    assert 0.0 <= reward <= 1.0
                     checked += 1
                     infeasible += reward == 0.0
+        assert searched > 0
         assert checked > 1000
         assert infeasible > 0
 
@@ -498,14 +509,15 @@ class TestEarlyExitPrune:
         import repro.tileseek.search as search_module
 
         captured = {}
-        real_mcts = search_module.mcts_search
+        real_oracle = search_module._prefix_oracle
 
-        def capturing_mcts(levels, evaluate, **kwargs):
-            captured.update(levels=levels, viable=kwargs["viable"])
-            return real_mcts(levels, evaluate, **kwargs)
+        def capturing_oracle(levels, footprint, capacity):
+            viable = real_oracle(levels, footprint, capacity)
+            captured.update(levels=levels, viable=viable)
+            return viable
 
         monkeypatch.setattr(
-            search_module, "mcts_search", capturing_mcts
+            search_module, "_prefix_oracle", capturing_oracle
         )
         checked = 0
         arch_names = ("cloud", "edge", "edge32", "edge64")

@@ -95,10 +95,10 @@ def diamond():
     order = ["a", "b", "c", "d"]
     preds = {"a": set(), "b": {"a"}, "c": {"a"}, "d": {"b", "c"}}
     seconds = {
-        ("a", K2): 1.0, ("a", K1): 2.0,
-        ("b", K2): 2.0, ("b", K1): 1.0,
-        ("c", K2): 1.0, ("c", K1): 3.0,
-        ("d", K2): 1.0, ("d", K1): 1.0,
+        ("a", 0): 1.0, ("a", 1): 2.0,
+        ("b", 0): 2.0, ("b", 1): 1.0,
+        ("c", 0): 1.0, ("c", 1): 3.0,
+        ("d", 0): 1.0, ("d", 1): 1.0,
     }
     loads = {"a": 10.0, "b": 20.0, "c": 10.0, "d": 5.0}
     return order, preds, LatencyTable(seconds=seconds, loads=loads)
@@ -188,8 +188,8 @@ class TestScheduleAuditor:
         preds = {"nxt.b": set(), "cur.a": {"nxt.b"}}
         table = LatencyTable(
             seconds={
-                ("a", K2): 1.0, ("a", K1): 1.0,
-                ("b", K2): 1.0, ("b", K1): 1.0,
+                ("a", 0): 1.0, ("a", 1): 1.0,
+                ("b", 0): 1.0, ("b", 1): 1.0,
             },
             loads={"a": 1.0, "b": 1.0},
         )

@@ -59,8 +59,8 @@ def random_dag(rng: random.Random, n_nodes: int = 12):
         preds[names[j]] = set(rng.sample(names[:j], fan_in))
     seconds = {}
     for name in names:
-        for kind in (K2, K1):
-            seconds[(name, kind)] = rng.choice(
+        for index in (0, 1):  # ARRAYS order: 2D, then 1D
+            seconds[(name, index)] = rng.choice(
                 [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0]
             )
     loads = {name: float(rng.randint(1, 1000)) for name in names}
