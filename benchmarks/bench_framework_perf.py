@@ -355,6 +355,39 @@ def test_tileseek_optimality(perf_log):
     assert misses == 0
 
 
+def test_code_census(perf_log):
+    """Source size and knob count beside the perf records:
+    ``scripts/plan_census.py``'s ``src_lines``, ``knobs`` and the
+    ``repro.*`` modules and source lines a cold and a warm local plan
+    load, with the census from before TileSeek warm starts were
+    deleted for comparison.  No gate.
+    """
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / (
+        "plan_census.py"
+    )
+    completed = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        check=True, timeout=600,
+    )
+    census = json.loads(completed.stdout.splitlines()[-1])
+    census["before_warm_start_removal"] = {
+        "src_lines": 19137, "knobs": 17,
+        "cold": {"modules": 55, "lines": 10038},
+        "warm": {"modules": 27, "lines": 3937},
+    }
+    census["workload"] = (
+        "scripts/plan_census.py: src/repro lines, REPRO_* knobs, and "
+        "the repro.* modules/lines one fresh-interpreter `plan --json "
+        "--model t5 --seq 512 --arch cloud --batch 4` loads, cold "
+        "then warm"
+    )
+    perf_log("code_census", census)
+
+
 def test_cascade_evaluator_speed(benchmark):
     rng = np.random.default_rng(0)
     extents = {"h": 4, "e": 32, "f": 32, "p": 64, "m1": 8,

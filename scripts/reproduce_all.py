@@ -34,9 +34,8 @@ def prewarm(jobs: int, retries: int, timeout: float) -> bool:
 
     The grid matches Figures 8-13's hot loop (Llama3 across the
     1K-1M sequence sweep plus the model suite at 64K, cloud and
-    edge); warm starting is left off so the cache keys match
-    the figures' cold :func:`repro.experiments.runner.get_report`
-    lookups exactly.
+    edge), so the cache keys match the figures'
+    :func:`repro.experiments.runner.get_report` lookups exactly.
 
     Runs fault-tolerantly: failed chains retry with deterministic
     backoff, completed points are journaled (so a killed prewarm

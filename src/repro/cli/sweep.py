@@ -47,13 +47,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="skip the persistent result cache for this sweep",
     )
     parser.add_argument(
-        "--warm-start", action="store_true",
-        help=(
-            "warm-start each TileSeek search from the neighboring "
-            "sequence length's best assignment"
-        ),
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help=(
             "per-chain timeout in seconds (default: REPRO_TIMEOUT, "
@@ -163,7 +156,6 @@ def run(args: argparse.Namespace) -> int:
             points=tuple(points),
             budget=effective_budget(args.budget, args.deadline),
             no_fallback=args.no_fallback,
-            warm_start=args.warm_start,
         )
         try:
             document = execute_request(request)
@@ -176,7 +168,7 @@ def run(args: argparse.Namespace) -> int:
         # --resume without --journal: the canonical per-grid journal
         # under the cache root, so a rerun of the same command line
         # finds the previous run's checkpoints automatically.
-        journal = default_journal_path(points, args.warm_start)
+        journal = default_journal_path(points)
     if journal is not None and args.no_cache:
         print(
             "warning: --no-cache disables the persistent layer; the "
@@ -188,7 +180,6 @@ def run(args: argparse.Namespace) -> int:
         points,
         jobs=args.jobs,
         use_cache=not args.no_cache,
-        warm_start=args.warm_start,
         timeout=args.timeout,
         retries=args.retries,
         strict=not args.keep_going,

@@ -32,25 +32,21 @@ from repro.arch.spec import ArchitectureSpec
 from repro.baselines.base import ExecutorBase, SUBLAYERS
 from repro.dpipe.planner import DPipeOptions, DPipePlan, plan_cascade
 from repro.model.workload import Workload
-from repro.resilience.budget import (
-    fallback_enabled,
-    resolve_budget,
-    worst_provenance,
-)
+from repro.resilience.budget import resolve_budget, worst_provenance
 from repro.sim.stats import PhaseStats
 from repro.model.config import ModelConfig
 from repro.tileseek.evaluate import dram_traffic_words
 from repro.tileseek.search import TileSeek, TileSeekResult
 from repro.validate.config import validation_enabled
 
-# The ModelConfig itself keys the cache (frozen dataclass): two models
-# with the same *name* but different shapes must not share tilings.
-# Warm-start assignments are part of the key: a warm-started search
-# is a different (possibly better) search than a cold one -- and so
-# is a budgeted or fallback-disabled one (the trailing two elements).
+# The ModelConfig and the ArchitectureSpec themselves key the cache
+# (frozen dataclasses): two models or two architectures with the same
+# *name* but different contents must not share tilings.  A budgeted
+# search is a different search from an unbudgeted one (the trailing
+# element).
 _TilingKey = Tuple[
-    ModelConfig, int, int, int, bool, str, int, int,
-    Tuple[Tuple[int, ...], ...], Optional[int], bool,
+    ModelConfig, int, int, int, bool, ArchitectureSpec, int, int,
+    Optional[int],
 ]
 _TILING_CACHE: Dict[_TilingKey, TileSeekResult] = {}
 
@@ -75,25 +71,10 @@ class TransFusionExecutor(ExecutorBase):
         self.dpipe_options = dpipe_options
         self.tileseek_iterations = tileseek_iterations
         self.seed = seed
-        self._warm_start: Tuple[Tuple[int, ...], ...] = ()
 
     # ------------------------------------------------------------------
     # TileSeek integration
     # ------------------------------------------------------------------
-    def set_warm_start(
-        self, assignments: Tuple[Tuple[int, ...], ...]
-    ) -> None:
-        """Inject warm-start assignments for subsequent tiling searches.
-
-        The sweep engine (:mod:`repro.runner.parallel`) threads the
-        best assignment of the neighboring sequence length through
-        here before pricing each grid point; an empty tuple (the
-        default) restores cold-search behavior.
-        """
-        self._warm_start = tuple(
-            tuple(int(v) for v in a) for a in assignments
-        )
-
     def tiling(
         self, workload: Workload, arch: ArchitectureSpec
     ) -> TileSeekResult:
@@ -113,21 +94,17 @@ class TransFusionExecutor(ExecutorBase):
                 ).raise_if_failed()
             return result
 
-        warm = self._warm_start
         budget = resolve_budget()
-        allow_fallback = fallback_enabled()
         key: _TilingKey = (
             workload.model,
             workload.seq_len,
             workload.batch,
             workload.kv_len,
             workload.causal,
-            arch.name,
+            arch,
             self.tileseek_iterations,
             self.seed,
-            warm,
             budget,
-            allow_fallback,
         )
         if key in _TILING_CACHE:
             return audited(_TILING_CACHE[key])
@@ -155,14 +132,11 @@ class TransFusionExecutor(ExecutorBase):
                 "arch": arch_fingerprint(arch),
                 "iterations": self.tileseek_iterations,
                 "seed": self.seed,
-                "warm_start": [list(a) for a in warm],
             }
-            # Conditional keys: unbudgeted searches keep their
-            # pre-existing disk hashes.
+            # Conditional key: a budgeted search is a different
+            # artifact from the unbudgeted one.
             if budget is not None:
                 payload["budget"] = budget
-            if not allow_fallback:
-                payload["no_fallback"] = True
             disk_key = stable_hash(payload)
             document = cache.get("tileseek", disk_key)
             if document is not None:
@@ -172,10 +146,7 @@ class TransFusionExecutor(ExecutorBase):
         searcher = TileSeek(
             iterations=self.tileseek_iterations, seed=self.seed
         )
-        result = searcher.search(
-            workload, arch, warm_start=warm,
-            budget=budget, allow_fallback=allow_fallback,
-        )
+        result = searcher.search(workload, arch, budget=budget)
         if cache is not None:
             cache.put(
                 "tileseek", disk_key,

@@ -58,10 +58,10 @@ from repro.graph.dag import ComputationDAG
 from repro.resilience.budget import (
     PROVENANCE_BUDGET_EXHAUSTED,
     PROVENANCE_COMPLETE,
+    RUNG_FIRST_ORDER,
     Budget,
     fallback_provenance,
 )
-from repro.resilience.ladder import RUNG_FIRST_ORDER
 from repro.validate.config import validation_enabled
 
 
@@ -559,10 +559,9 @@ def fused_best_order_ex(
     the first topological order is scheduled directly (the legacy
     capped-enumeration degenerate case) and the provenance is
     ``fallback:first_order``.  ``extra_orders`` are always evaluated
-    -- they are O(n) deterministic candidates, the DPipe analogue of
-    the TileSeek fallback ladder.  ``critical_path=True`` appends one
-    more: :func:`~repro.graph.toposort.critical_path_order` under
-    min-over-arrays latencies (zero for ``zero_latency`` nodes),
+    -- they are O(n) deterministic candidates.  ``critical_path=True``
+    appends one more: :func:`~repro.graph.toposort.critical_path_order`
+    under min-over-arrays latencies (zero for ``zero_latency`` nodes),
     built in ids from the interned problem.
 
     Returns:

@@ -1,6 +1,6 @@
 """Anytime-search resilience: budgets, degradation, diagnostics.
 
-Three pieces turn the framework's two search layers (TileSeek's MCTS,
+Two pieces turn the framework's two search layers (TileSeek's MCTS,
 DPipe's branch-and-bound DFS) into anytime algorithms that degrade
 instead of dying:
 
@@ -8,10 +8,8 @@ instead of dying:
   (``REPRO_BUDGET`` / the advisory ``REPRO_DEADLINE``) threaded
   cooperatively through both searches, plus the provenance vocabulary
   (``complete`` / ``budget_exhausted`` / ``fallback:<rung>``) every
-  result carries.
-* :mod:`repro.resilience.ladder` -- the graceful-degradation rungs
-  (TileSeek's warm-start reuse, DPipe's first order) a budget-cut
-  search can fall back to, recorded into plans and reports.
+  result carries -- the one rung being DPipe's first order, which a
+  budget-cut schedule search falls back to.
 * :mod:`repro.resilience.diagnostics` -- typed infeasibility: when no
   tiling fits the Table-2 buffer model, a :class:`BufferDiagnosis`
   names the overflowing module, the overflow in words and the
@@ -25,15 +23,12 @@ _EXPORTS = {
     "repro.resilience.budget": (
         "ENV_BUDGET", "ENV_DEADLINE", "ENV_NO_FALLBACK",
         "PROVENANCE_BUDGET_EXHAUSTED", "PROVENANCE_COMPLETE",
-        "UNITS_PER_SECOND", "Budget", "fallback_enabled",
-        "fallback_provenance", "is_degraded", "resolve_budget",
-        "worst_provenance",
+        "RUNG_FIRST_ORDER", "UNITS_PER_SECOND", "Budget",
+        "fallback_enabled", "fallback_provenance", "is_degraded",
+        "resolve_budget", "worst_provenance",
     ),
     "repro.resilience.diagnostics": (
         "BufferDiagnosis", "diagnose_infeasible",
-    ),
-    "repro.resilience.ladder": (
-        "RUNG_FIRST_ORDER", "RUNG_WARM_START",
     ),
 }
 

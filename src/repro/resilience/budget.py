@@ -23,9 +23,8 @@ Every search result carries a *provenance* string:
     The budget ran out mid-search; the best-so-far incumbent was
     returned (an anytime result, still fully validated).
 ``fallback:<rung>``
-    Something other than the search's own answer -- a
-    degradation-ladder rung (:mod:`repro.resilience.ladder`) --
-    supplied the result.
+    Something other than the search's own answer supplied the
+    result.  The one rung is DPipe's :data:`RUNG_FIRST_ORDER`.
 """
 
 from __future__ import annotations
@@ -48,6 +47,12 @@ UNITS_PER_SECOND = 50_000
 PROVENANCE_COMPLETE = "complete"
 PROVENANCE_BUDGET_EXHAUSTED = "budget_exhausted"
 _FALLBACK_PREFIX = "fallback:"
+
+#: DPipe's degradation rung: schedule the first topological order
+#: directly when the branch-and-bound DFS has no incumbent at budget
+#: exhaustion.  Deterministic (no search, no randomness) and audited
+#: like a complete search.
+RUNG_FIRST_ORDER = "first_order"
 
 
 def fallback_provenance(rung: str) -> str:

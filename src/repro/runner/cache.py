@@ -10,7 +10,8 @@ that determines it*:
 * the executor name and its search parameters,
 * the full workload shape (model config, sequence, batch, masking),
 * the full architecture spec (arrays, buffer, DRAM, energy model),
-* any warm-start assignments injected into the tiling search, and
+* the search budget, when set (and, for reports, the no-fallback
+  flag), and
 * a code-version salt (a hash of the ``repro`` source tree), so any
   change to the cost model or schedulers invalidates every entry
   automatically.

@@ -5,9 +5,8 @@ workload and architecture; a *chain* is the points of one
 executor/model/architecture/batch family in ascending sequence order.
 :func:`_run_chain` prices a chain in order -- serving each point's
 report from the persistent :class:`~repro.runner.cache.PlanCache`
-when possible, threading TileSeek warm starts forward, consulting the
-``REPRO_FAULTS`` plan at every point boundary and typing every
-failure.  Everything that prices points goes through it: a local
+when possible, consulting the ``REPRO_FAULTS`` plan at every point
+boundary and typing every failure.  Everything that prices points goes through it: a local
 ``repro plan``, a served request (:mod:`repro.serve.protocol`) and
 each chain :func:`repro.runner.parallel.run_grid` fans out.
 
@@ -136,10 +135,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def report_cache_payload(
-    point: GridPoint,
-    warm: Tuple[Tuple[int, ...], ...] = (),
-) -> Dict[str, Any]:
+def report_cache_payload(point: GridPoint) -> Dict[str, Any]:
     """The content-hash payload identifying one point's report.
 
     Built from the executor registry's constructor parameters, never
@@ -152,7 +148,6 @@ def report_cache_payload(
         "executor_params": executor_params(point.executor),
         "workload": workload_fingerprint(point.workload()),
         "arch": arch_fingerprint(named_architecture(point.arch)),
-        "warm_start": [list(a) for a in warm],
     }
     # Conditional keys: a budgeted (possibly degraded) report is a
     # different artifact from the unbudgeted one, but unbudgeted
@@ -169,7 +164,6 @@ def _point_document(
     point: GridPoint,
     cache: Union[Any, None],
     build: Callable[[], Any],
-    warm: Tuple[Tuple[int, ...], ...] = (),
 ) -> Tuple[Optional[str], Dict[str, Any]]:
     """(cache key, serialized report document) for one point.
 
@@ -182,7 +176,7 @@ def _point_document(
     """
     key = payload = None
     if cache is not None:
-        payload = report_cache_payload(point, warm)
+        payload = report_cache_payload(point)
         key = stable_hash(payload)
         document = cache.get("report", key)
         if document is not None:
@@ -191,10 +185,9 @@ def _point_document(
     # document as it is.
     from repro.core.serialize import report_to_dict
 
-    executor = build()
-    if hasattr(executor, "set_warm_start"):
-        executor.set_warm_start(warm)
-    report = executor.run(point.workload(), named_architecture(point.arch))
+    report = build().run(
+        point.workload(), named_architecture(point.arch)
+    )
     document = report_to_dict(report)
     if cache is not None:
         cache.put("report", key, document, payload)
@@ -204,8 +197,6 @@ def _point_document(
 def compute_report(
     point: GridPoint,
     cache: Union[Any, None] = None,
-    executor: Optional[Any] = None,
-    warm: Tuple[Tuple[int, ...], ...] = (),
 ) -> RunReport:
     """One point's report, served from the persistent cache if possible.
 
@@ -213,23 +204,14 @@ def compute_report(
         point: The grid point to price.
         cache: A :class:`PlanCache`, or ``None`` to use the
             environment default (which may be disabled).
-        executor: Pre-built executor instance to reuse (the chain
-            runner threads warm-start state through it); ``None``
-            builds a fresh one from the registry.
-        warm: Warm-start assignments for the tiling search (part of
-            the cache key).
     """
     if cache is None:
         cache = default_cache()
-
-    def build() -> Any:
-        if executor is not None:
-            return executor
-        return named_executor(point.executor)
-
     from repro.core.serialize import report_from_dict
 
-    _, document = _point_document(point, cache, build, warm)
+    _, document = _point_document(
+        point, cache, lambda: named_executor(point.executor)
+    )
     return report_from_dict(document)
 
 
@@ -310,13 +292,12 @@ def chain_failure(
 
 def _run_chain(
     chain: Sequence[GridPoint],
-    warm_start: bool,
     chain_index: int = 0,
     attempt: int = 0,
     indices: Optional[Sequence[int]] = None,
     serial: bool = True,
 ) -> List[Tuple[Optional[str], Dict[str, Any]]]:
-    """Price one chain in order, threading warm starts forward.
+    """Price one chain in order.
 
     Returns ``(cache key, serialized report document)`` pairs aligned
     with the chain.  Consults the ``REPRO_FAULTS`` injection plan (when
@@ -326,7 +307,6 @@ def _run_chain(
 
     Args:
         chain: The points of one family, sequence ascending.
-        warm_start: Thread TileSeek warm starts through the chain.
         chain_index: This chain's index in the sweep (fault-injection
             and error-attribution context).
         attempt: 0-based retry attempt (fault-injection context).
@@ -342,17 +322,12 @@ def _run_chain(
     executor = None
 
     def chain_executor() -> Any:
-        # Built on the chain's first miss (or up front when warm
-        # starts need its tiling lookups), then reused.
+        # Built on the chain's first miss, then reused.
         nonlocal executor
         if executor is None:
             executor = named_executor(chain[0].executor)
         return executor
 
-    warm: Tuple[Tuple[int, ...], ...] = ()
-    supports_warm = warm_start and hasattr(
-        chain_executor(), "set_warm_start"
-    )
     results = []
     for position, point in enumerate(chain):
         index = indices[position] if indices is not None else position
@@ -362,28 +337,15 @@ def _run_chain(
                     serial=serial, chain=chain_index, point=index,
                     attempt=attempt,
                 )
-            if supports_warm:
-                # Keep the executor's warm state in sync even when
-                # the report itself is served from disk, so the
-                # follow-up tiling lookup below uses this point's key.
-                executor.set_warm_start(warm)
             key, document = _point_document(
-                point, cache, chain_executor,
-                warm if supports_warm else (),
+                point, cache, chain_executor
             )
-            if supports_warm:
-                tiling = executor.tiling(
-                    point.workload(), named_architecture(point.arch)
-                )
-                warm = (tuple(tiling.stats.best_assignment),)
         except (InjectedHang, InjectedWorkerExit):
             raise
         except InfeasiblePoint as failure:
             # Terminal diagnosis, not a fault: record the typed
             # verdict in the result stream (no report document
-            # exists) and keep pricing the rest of the chain.  Warm
-            # starts thread past the point unchanged -- there is no
-            # assignment to thread.
+            # exists) and keep pricing the rest of the chain.
             from repro.core.serialize import failure_to_dict
 
             results.append((None, {

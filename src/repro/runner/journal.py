@@ -6,8 +6,8 @@ engine appends one JSON line per completed point to a journal file::
 
     {"v": 1, "fingerprint": ..., "key": ..., "point": {...}}
 
-``fingerprint`` identifies the point (full :class:`GridPoint` fields
-plus the warm-start flag); ``key`` is the content-address of the
+``fingerprint`` identifies the point (its full :class:`GridPoint`
+fields); ``key`` is the content-address of the
 point's report in the persistent :class:`~repro.runner.cache.PlanCache`.
 On ``run_grid(..., resume=True)`` the engine reloads the journal and
 serves any chain whose every point is journaled *and* still present
@@ -118,17 +118,9 @@ def tolerant_lines(path: Union[str, os.PathLike]):
 JOURNAL_VERSION = 1
 
 
-def point_fingerprint(point: Any, warm_start: bool) -> str:
-    """Stable identity of one sweep point within a journal.
-
-    Warm and cold pricings of the same point are distinct results, so
-    the warm-start flag is part of the identity (mirroring the cache
-    key, which embeds the actual warm assignments).
-    """
-    return stable_hash({
-        "point": dataclasses.asdict(point),
-        "warm_start": bool(warm_start),
-    })
+def point_fingerprint(point: Any) -> str:
+    """Stable identity of one sweep point within a journal."""
+    return stable_hash({"point": dataclasses.asdict(point)})
 
 
 class SweepJournal:
@@ -142,9 +134,7 @@ class SweepJournal:
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
 
-    def record(
-        self, point: Any, key: Optional[str], warm_start: bool
-    ) -> None:
+    def record(self, point: Any, key: Optional[str]) -> None:
         """Append one completed point.
 
         Points priced with the cache disabled have no key and are not
@@ -155,15 +145,14 @@ class SweepJournal:
         line = json.dumps({
             "v": JOURNAL_VERSION,
             "salt": code_salt(),
-            "fingerprint": point_fingerprint(point, warm_start),
+            "fingerprint": point_fingerprint(point),
             "key": key,
             "point": dataclasses.asdict(point),
         }, sort_keys=True)
         append_line(self.path, line)
 
     def record_infeasible(
-        self, point: Any, diagnosis: Dict[str, Any],
-        warm_start: bool,
+        self, point: Any, diagnosis: Dict[str, Any]
     ) -> None:
         """Append one provably infeasible point.
 
@@ -177,7 +166,7 @@ class SweepJournal:
         line = json.dumps({
             "v": JOURNAL_VERSION,
             "salt": code_salt(),
-            "fingerprint": point_fingerprint(point, warm_start),
+            "fingerprint": point_fingerprint(point),
             "infeasible": diagnosis,
             "point": dataclasses.asdict(point),
         }, sort_keys=True)
@@ -240,19 +229,17 @@ class SweepJournal:
 
 def default_journal_path(
     points: Sequence[Any],
-    warm_start: bool = False,
     root: Union[str, os.PathLike, None] = None,
 ) -> Path:
     """Canonical journal location for one sweep definition.
 
-    Keyed by a stable hash over the full point list (order included)
-    and the warm-start flag, under ``<cache root>/journal/`` -- so
+    Keyed by a stable hash over the full point list (order included),
+    under ``<cache root>/journal/`` -- so
     ``sweep --resume`` finds the previous run's journal from the grid
     definition alone, and different sweeps never share a journal.
     """
     grid_hash = stable_hash({
         "points": [dataclasses.asdict(point) for point in points],
-        "warm_start": bool(warm_start),
     })
     base = PlanCache(root).root
     return base / "journal" / f"{grid_hash}.jsonl"

@@ -9,8 +9,7 @@ figure -- with four guarantees:
 * **Serial/parallel equivalence** -- ``jobs=1`` and ``jobs=N``
   produce byte-identical reports.  Points are grouped into *chains*
   (one per executor/model/architecture/batch family, sequence lengths
-  ascending); a chain always runs on a single worker, so warm-start
-  threading inside a chain is identical in both modes, and both modes
+  ascending); a chain always runs on a single worker, and both modes
   reconstruct reports through the same serialization round-trip.
   Retries and resume preserve the equivalence: a retried chain
   recomputes deterministically, and a resumed chain is served from
@@ -40,17 +39,10 @@ figure -- with four guarantees:
   a Table-2 buffer diagnosis) is a *terminal* outcome, not a fault:
   it gets status ``infeasible``, is never retried, never trips
   ``strict``, and its diagnosis is journaled so resume skips the
-  proof.  The rest of the chain keeps running (warm-start threading
-  simply skips the infeasible point).
+  proof.  The rest of the chain keeps running.
 
-Warm starting (``warm_start=True``) threads each chain's TileSeek
-best assignment into the next (larger) sequence length's search as an
-additional incumbent -- the DNNFuser-style mapping reuse across
-similar problems.  Warm assignments are part of every cache key, so
-warm and cold sweeps never collide.
-
-Pricing one chain -- points, cache documents, warm-start threading,
-fault sites, the chain layout and the failure taxonomy -- is
+Pricing one chain -- points, cache documents, fault sites, the chain
+layout and the failure taxonomy -- is
 :mod:`repro.runner.chain`; folding chain outcomes into a
 :class:`SweepResult` is :mod:`repro.runner.result`; the pool is
 :mod:`repro.runner.pool`.  This module is the fan-out around them:
@@ -126,25 +118,21 @@ def _journal_chain(
     journal: Optional[SweepJournal],
     chain: Sequence[GridPoint],
     outcome: ChainOutcome,
-    warm_start: bool,
 ) -> None:
     """Checkpoint a freshly completed chain's points."""
     if journal is None:
         return
     for point, (key, document) in zip(chain, outcome.results):
         if _is_infeasible_document(document):
-            journal.record_infeasible(
-                point, document[_INFEASIBLE_KEY], warm_start
-            )
+            journal.record_infeasible(point, document[_INFEASIBLE_KEY])
         else:
-            journal.record(point, key, warm_start)
+            journal.record(point, key)
 
 
 def _serial_outcomes(
     chains: Sequence[Sequence[GridPoint]],
     chain_ids: Sequence[int],
     indices: Sequence[Sequence[int]],
-    warm_start: bool,
     retries: int,
     timeout: Optional[float],
     strict: bool,
@@ -165,12 +153,12 @@ def _serial_outcomes(
                 outcome = ChainOutcome(
                     STATUS_OK,
                     results=_run_chain(
-                        chain, warm_start, chain_id, attempt,
-                        indices[chain_id], serial=True,
+                        chain, chain_id, attempt, indices[chain_id],
+                        serial=True,
                     ),
                 )
                 outcomes[chain_id] = outcome
-                _journal_chain(journal, chain, outcome, warm_start)
+                _journal_chain(journal, chain, outcome)
                 break
             except Exception as exc:
                 error = chain_failure(
@@ -199,7 +187,6 @@ def _collect_round(
     attempts: Mapping[int, int],
     timeout: Optional[float],
     journal: Optional[SweepJournal],
-    warm_start: bool,
     outcomes: List[Optional[ChainOutcome]],
     failures: Dict[int, SweepError],
 ) -> Tuple[bool, List[int]]:
@@ -263,7 +250,7 @@ def _collect_round(
                 abandoned |= isinstance(failure, WorkerCrash)
                 continue
             outcomes[chain_id] = outcome
-            _journal_chain(journal, chain, outcome, warm_start)
+            _journal_chain(journal, chain, outcome)
         if timeout is None:
             continue
         now = time.monotonic()
@@ -297,7 +284,6 @@ def _parallel_outcomes(
     chains: Sequence[Sequence[GridPoint]],
     chain_ids: Sequence[int],
     indices: Sequence[Sequence[int]],
-    warm_start: bool,
     retries: int,
     timeout: Optional[float],
     strict: bool,
@@ -329,8 +315,8 @@ def _parallel_outcomes(
             for chain_id, attempt in sorted(pending.items()):
                 try:
                     futures[chain_id] = pool.executor.submit(
-                        _run_chain, chains[chain_id], warm_start,
-                        chain_id, attempt, indices[chain_id], False,
+                        _run_chain, chains[chain_id], chain_id,
+                        attempt, indices[chain_id], False,
                     )
                 except BrokenProcessPool:
                     # A worker died before every chain was queued;
@@ -340,7 +326,7 @@ def _parallel_outcomes(
             failures: Dict[int, SweepError] = {}
             abandoned, stranded = _collect_round(
                 futures, chains, pending, timeout, journal,
-                warm_start, outcomes, failures,
+                outcomes, failures,
             )
             if abandoned or unsubmitted:
                 pool.respawn()
@@ -368,7 +354,6 @@ def _resume_chain(
     completed: Mapping[str, str],
     infeasible: Mapping[str, Dict[str, Any]],
     cache: Optional[Any],
-    warm_start: bool,
 ) -> Optional[List[Tuple[Optional[str], Dict[str, Any]]]]:
     """Serve a fully journaled chain straight from the cache.
 
@@ -382,7 +367,7 @@ def _resume_chain(
         return None
     results = []
     for point in chain:
-        fingerprint = point_fingerprint(point, warm_start)
+        fingerprint = point_fingerprint(point)
         diagnosis = infeasible.get(fingerprint)
         if diagnosis is not None:
             results.append((None, {_INFEASIBLE_KEY: diagnosis}))
@@ -402,7 +387,6 @@ def run_grid(
     jobs: Optional[int] = None,
     cache_dir: Union[str, os.PathLike, None] = None,
     use_cache: bool = True,
-    warm_start: bool = False,
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     strict: bool = True,
@@ -422,9 +406,6 @@ def run_grid(
             ``REPRO_CACHE_DIR`` / default resolution).
         use_cache: ``False`` disables the persistent layer for this
             sweep.
-        warm_start: Thread each chain's TileSeek best assignment into
-            the next (larger) sequence length's search as an extra
-            incumbent.
         timeout: Per-chain timeout in seconds (``None``:
             ``REPRO_TIMEOUT``, else unlimited).  When ``jobs > 1``
             each chain's clock starts when it is first observed
@@ -491,8 +472,7 @@ def run_grid(
         pending_ids = []
         for chain_id, chain in enumerate(chains):
             served = _resume_chain(
-                chain, completed, journaled_infeasible, cache,
-                warm_start,
+                chain, completed, journaled_infeasible, cache
             )
             if served is not None:
                 outcomes[chain_id] = ChainOutcome(
@@ -503,14 +483,13 @@ def run_grid(
         if pending_ids:
             if jobs == 1 or len(pending_ids) <= 1:
                 _serial_outcomes(
-                    chains, pending_ids, indices, warm_start,
-                    retries, timeout, strict, log, outcomes,
+                    chains, pending_ids, indices, retries, timeout,
+                    strict, log, outcomes,
                 )
             else:
                 _parallel_outcomes(
-                    chains, pending_ids, indices, warm_start,
-                    retries, timeout, strict, log, jobs, env,
-                    outcomes,
+                    chains, pending_ids, indices, retries, timeout,
+                    strict, log, jobs, env, outcomes,
                 )
     assert all(outcome is not None for outcome in outcomes)
     result = sweep_result(points, chains, outcomes)

@@ -378,7 +378,7 @@ class ServeApp:
         try:
             if request.op == "plan":
                 results = await self._await_chains(
-                    [list(request.points)], [[0]], False,
+                    [list(request.points)], [[0]],
                     request, budget, attempt, extra_env,
                 )
                 document = plan_response(
@@ -387,8 +387,8 @@ class ServeApp:
             elif request.op == "sweep":
                 chains, indices = chain_layout(request.points)
                 chain_results = await self._await_chains(
-                    chains, indices, request.warm_start,
-                    request, budget, attempt, extra_env,
+                    chains, indices, request, budget, attempt,
+                    extra_env,
                 )
                 document = sweep_response(
                     request, chains, chain_results, budget=budget
@@ -420,7 +420,6 @@ class ServeApp:
         self,
         chains: List[List[Any]],
         indices: List[List[int]],
-        warm_start: bool,
         request: ServeRequest,
         budget: Optional[int],
         attempt: int,
@@ -430,9 +429,9 @@ class ServeApp:
         failure (in chain order) as its typed taxonomy member."""
         futures = [
             asyncio.wrap_future(self.pool.submit(
-                execute_chain, chain, warm_start, budget,
-                request.no_fallback, chain_id, indices[chain_id],
-                attempt, self.pool.serial, extra_env,
+                execute_chain, chain, budget, request.no_fallback,
+                chain_id, indices[chain_id], attempt,
+                self.pool.serial, extra_env,
             ))
             for chain_id, chain in enumerate(chains)
         ]

@@ -41,8 +41,6 @@ def serve_request_to_dict(request: Any) -> Dict[str, Any]:
         document["budget"] = request.budget
     if request.no_fallback:
         document["no_fallback"] = True
-    if request.warm_start:
-        document["warm_start"] = True
     if request.request_id is not None:
         document["id"] = request.request_id
     return document

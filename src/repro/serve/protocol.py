@@ -15,7 +15,7 @@ Requests are JSON objects::
      "budget": 16, "deadline_s": null, "no_fallback": false,
      "id": "r1"}
 
-    {"op": "sweep", "points": [{...}, ...], "warm_start": false}
+    {"op": "sweep", "points": [{...}, ...]}
     {"op": "validate", "point": {...}}
     {"op": "stats"}
 
@@ -101,7 +101,7 @@ _REQUIRED_POINT_FIELDS = ("executor", "model", "seq_len", "arch")
 
 _REQUEST_FIELDS = (
     "v", "id", "op", "point", "points", "budget", "deadline_s",
-    "no_fallback", "warm_start",
+    "no_fallback",
 )
 
 
@@ -125,7 +125,6 @@ class ServeRequest:
             ``deadline_s`` already folded in via
             :func:`effective_budget`; ``None`` is unbudgeted.
         no_fallback: Disable the graceful-degradation ladder.
-        warm_start: ``sweep`` only -- thread TileSeek warm starts.
         request_id: Opaque client correlation id, echoed verbatim.
     """
 
@@ -133,7 +132,6 @@ class ServeRequest:
     points: Tuple[GridPoint, ...] = ()
     budget: Optional[int] = None
     no_fallback: bool = False
-    warm_start: bool = False
     request_id: Optional[str] = None
 
 
@@ -268,12 +266,11 @@ def parse_request(document: Any) -> ServeRequest:
             raise ServeProtocolError(
                 f"deadline_s must be > 0, got {deadline}"
             )
-    for flag in ("no_fallback", "warm_start"):
-        if not isinstance(document.get(flag, False), bool):
-            raise ServeProtocolError(
-                f"{flag} must be a boolean, got "
-                f"{_type_name(document[flag])}"
-            )
+    if not isinstance(document.get("no_fallback", False), bool):
+        raise ServeProtocolError(
+            f"no_fallback must be a boolean, got "
+            f"{_type_name(document['no_fallback'])}"
+        )
     points: Tuple[GridPoint, ...] = ()
     if op in ("plan", "validate"):
         if "points" in document:
@@ -307,7 +304,6 @@ def parse_request(document: Any) -> ServeRequest:
         points=points,
         budget=effective_budget(budget, deadline),
         no_fallback=bool(document.get("no_fallback", False)),
-        warm_start=bool(document.get("warm_start", False)),
         request_id=(
             str(request_id) if request_id is not None else None
         ),
@@ -334,7 +330,6 @@ def request_fingerprint(
         ],
         "budget": budget,
         "no_fallback": request.no_fallback,
-        "warm_start": request.warm_start,
     })
 
 
@@ -372,7 +367,6 @@ def _request_env(
 
 def execute_chain(
     chain: Sequence[GridPoint],
-    warm_start: bool,
     budget: Optional[int],
     no_fallback: bool,
     chain_index: int = 0,
@@ -384,16 +378,12 @@ def execute_chain(
     """Price one chain under a request-scoped environment.
 
     A thin wrapper around the sweep engine's chain runner: the same
-    warm-start threading, fault-injection sites, typed failures and
-    cache documents -- which is what makes a served plan
-    byte-identical to a CLI one.  Returns the chain's
-    ``(cache key, serialized document)`` pairs.
+    fault-injection sites, typed failures and cache documents --
+    which is what makes a served plan byte-identical to a CLI one.
+    Returns the chain's ``(cache key, serialized document)`` pairs.
     """
     with scoped_env(_request_env(budget, no_fallback, extra_env)):
-        return _run_chain(
-            chain, warm_start, chain_index, attempt,
-            indices, serial,
-        )
+        return _run_chain(chain, chain_index, attempt, indices, serial)
 
 
 def execute_validate(
@@ -562,7 +552,7 @@ def execute_request(request: ServeRequest) -> Dict[str, Any]:
     """
     if request.op == "plan":
         results = execute_chain(
-            list(request.points), False, request.budget,
+            list(request.points), request.budget,
             request.no_fallback, 0, [0], 0, True, None,
         )
         return plan_response(request, results)
@@ -570,9 +560,8 @@ def execute_request(request: ServeRequest) -> Dict[str, Any]:
         chains, indices = chain_layout(request.points)
         chain_results = [
             execute_chain(
-                chain, request.warm_start, request.budget,
-                request.no_fallback, chain_id, indices[chain_id],
-                0, True, None,
+                chain, request.budget, request.no_fallback,
+                chain_id, indices[chain_id], 0, True, None,
             )
             for chain_id, chain in enumerate(chains)
         ]

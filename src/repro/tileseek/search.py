@@ -32,10 +32,8 @@ from repro.resilience.budget import (
     PROVENANCE_BUDGET_EXHAUSTED,
     PROVENANCE_COMPLETE,
     Budget,
-    fallback_provenance,
     resolve_budget,
 )
-from repro.resilience.ladder import RUNG_WARM_START
 from repro.tileseek.buffer_model import (
     TilingConfig,
     intra_tile_p_prime,
@@ -124,8 +122,7 @@ def _leaf_pricer(
     A leaf's reward is ``reward_for(assess_tiling(cfg), optimum)``
     without building a config or an assessment: 0 when the Table-2
     footprint overflows, else the optimum over the leaf's DRAM words
-    -- in ``(0, 1]`` on the grid, as UCB1 assumes (a warm start off
-    the grid may beat the optimum).
+    -- in ``(0, 1]``, as UCB1 assumes.
 
     Returns:
         ``(evaluate, rewards, optimal)``: the reward function, its
@@ -156,11 +153,8 @@ class TileSeekResult:
 
     ``provenance`` labels how the winning config was obtained:
     ``complete`` (the grid optimum, certified at the anchor or
-    reached by the search), ``budget_exhausted`` (the best of the
-    MCTS incumbent and the exact optimum under a spent budget) or
-    ``fallback:<rung>`` (a
-    degradation-ladder rung supplied the result; see
-    :mod:`repro.resilience.ladder`).
+    reached by the search) or ``budget_exhausted`` (the best of the
+    MCTS incumbent and the exact optimum under a spent budget).
     """
 
     config: TilingConfig
@@ -280,48 +274,29 @@ class TileSeek:
         self,
         workload: Workload,
         arch: ArchitectureSpec,
-        warm_start: Sequence[Sequence[int]] = (),
         budget: Optional[int] = None,
-        allow_fallback: Optional[bool] = None,
     ) -> TileSeekResult:
         """Find the best feasible outer tiling for one fused layer.
 
         Args:
             workload: The problem instance.
             arch: Target architecture.
-            warm_start: Optional known-good assignments (in
-                :data:`FACTOR_ORDER`), typically the best assignment
-                of an adjacent search (same model/architecture,
-                neighboring sequence length).  Each is evaluated as an
-                additional incumbent: the returned config is never
-                worse than any warm start, and the MCTS tree itself is
-                untouched, so results stay deterministic.
             budget: Deterministic unit budget (MCTS iterations) for
                 this search; ``None`` defers to ``REPRO_BUDGET`` /
                 ``REPRO_DEADLINE``.  A certified anchor spends none.
                 On exhaustion the better of the MCTS incumbent and
                 the exact optimum is returned with degraded
                 provenance.
-            allow_fallback: Whether the degradation ladder may supply
-                the result when the budgeted search yields nothing
-                better; ``None`` defers to ``REPRO_NO_FALLBACK``.
 
         Raises:
             InfeasiblePoint: When even the minimal configuration in
                 the grid overflows the buffer -- by Table-2
                 monotonicity nothing in the space fits, and the error
                 carries the buffer-level diagnosis.
-            RuntimeError: When the result would be a fallback rung and
-                fallback is disabled.
         """
         grid = self.candidate_grid(workload, arch)
         fixed = self.fixed_factors(arch)
         levels = [grid[name] for name in FACTOR_ORDER]
-        warm = self._validated_assignments(warm_start)
-        if allow_fallback is None:
-            from repro.resilience.budget import fallback_enabled
-
-            allow_fallback = fallback_enabled()
         limit = resolve_budget(budget)
         unit_budget = Budget(limit) if limit is not None else None
         minimal = self._minimal_point(grid)
@@ -393,34 +368,18 @@ class TileSeek:
             )
         best_assignment = stats.best_assignment
         best_reward = stats.best_reward
-        # The warm starts, then the exact optimum, challenge the MCTS
-        # incumbent; a strict ``>`` keeps an earlier tie.  The exact
-        # optimum belongs to the search's own answer; a warm start
-        # that wins a budget-cut search is the ``warm_start`` rung of
-        # the degradation ladder.  Neither is budget-charged.
-        candidates = warm + (exact,)
-        winner_index = -1  # the MCTS incumbent
-        fresh = 0  # incumbents priced by a real evaluator call
-        for index, candidate in enumerate(candidates):
-            if candidate not in rewards:
-                fresh += 1
-            candidate_reward = evaluate(candidate)
-            if candidate_reward > best_reward:
-                best_assignment = candidate
-                best_reward = candidate_reward
-                winner_index = index
-        if not stats.exhausted:
-            provenance = PROVENANCE_COMPLETE
-        elif not 0 <= winner_index < len(warm):
-            provenance = PROVENANCE_BUDGET_EXHAUSTED
-        else:
-            provenance = fallback_provenance(RUNG_WARM_START)
-            if not allow_fallback:
-                raise RuntimeError(
-                    f"search for {workload.describe()} on "
-                    f"{arch.name} degraded to {provenance} and "
-                    f"fallback is disabled (REPRO_NO_FALLBACK)"
-                )
+        # The exact optimum challenges the MCTS incumbent; a strict
+        # ``>`` keeps the MCTS answer where the two tie.  It is not
+        # budget-charged.
+        fresh = int(exact not in rewards)  # priced by a real call
+        exact_reward = evaluate(exact)
+        if exact_reward > best_reward:
+            best_assignment = exact
+            best_reward = exact_reward
+        provenance = (
+            PROVENANCE_BUDGET_EXHAUSTED if stats.exhausted
+            else PROVENANCE_COMPLETE
+        )
         config = self._config_from(best_assignment, fixed)
         return TileSeekResult(
             config=config,
@@ -436,28 +395,6 @@ class TileSeek:
             ),
             provenance=provenance,
         )
-
-    @staticmethod
-    def _validated_assignments(
-        assignments: Sequence[Sequence[int]],
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """Normalize warm-start assignments, rejecting malformed
-        ones."""
-        validated = []
-        for raw in assignments:
-            assignment = tuple(int(v) for v in raw)
-            if len(assignment) != len(FACTOR_ORDER):
-                raise ValueError(
-                    f"candidate assignment {assignment} must have "
-                    f"{len(FACTOR_ORDER)} factors ({FACTOR_ORDER})"
-                )
-            if any(v <= 0 for v in assignment):
-                raise ValueError(
-                    f"candidate factors must be positive: "
-                    f"{assignment}"
-                )
-            validated.append(assignment)
-        return tuple(validated)
 
     def _reference_words(
         self,

@@ -1,5 +1,7 @@
 """Tests for the TransFusion executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.pe import PEArrayKind
@@ -33,6 +35,29 @@ class TestTilingIntegration:
         a = executor.tiling(llama_workload, cloud)
         b = executor.tiling(llama_workload, edge)
         assert a is not b
+
+    def test_same_name_different_buffer_different_tiling(
+        self, executor, edge
+    ):
+        """The in-process memo is keyed by the architecture's
+        contents: a second spec named ``edge`` with a quarter of the
+        buffer gets its own search, whose tiling fits that buffer."""
+        workload = Workload(named_model("t5"), seq_len=512, batch=4)
+        smaller = dataclasses.replace(
+            edge,
+            buffer=dataclasses.replace(
+                edge.buffer,
+                capacity_bytes=edge.buffer.capacity_bytes // 4,
+            ),
+        )
+        assert smaller.name == edge.name
+        full = executor.tiling(workload, edge)
+        cut = executor.tiling(workload, smaller)
+        assert cut.config != full.config
+        assert cut.assessment.buffer_words_required <= (
+            smaller.buffer_words
+        )
+        assert executor.tiling(workload, edge) is full
 
 
 class TestLayerPlans:

@@ -73,8 +73,8 @@ def exactly_priceable(assignment: Sequence[int]) -> bool:
     identically only when every operand converts exactly: each factor
     below :data:`EXACT_FLOAT_LIMIT` and the ``b * p`` token-group
     product within float64's 53-bit significand.  Grid candidates
-    always qualify; pathological warm starts may not, and callers
-    route those rows through the scalar evaluator instead.
+    always qualify; hand-built oversized assignments may not, and
+    callers route those rows through the scalar evaluator instead.
     """
     b, _, _, p, _ = (int(v) for v in assignment)
     return (

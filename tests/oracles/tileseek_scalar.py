@@ -26,10 +26,8 @@ from repro.resilience.budget import (
     PROVENANCE_BUDGET_EXHAUSTED,
     PROVENANCE_COMPLETE,
     Budget,
-    fallback_provenance,
     resolve_budget,
 )
-from repro.resilience.ladder import RUNG_WARM_START
 from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.evaluate import (
     TilingAssessment,
@@ -202,9 +200,7 @@ def search_scalar(
     self,
     workload: Workload,
     arch: ArchitectureSpec,
-    warm_start: Sequence[Sequence[int]] = (),
     budget: Optional[int] = None,
-    allow_fallback: Optional[bool] = None,
 ) -> TileSeekResult:
     """The scalar evaluation path (the differential oracle).
 
@@ -220,11 +216,6 @@ def search_scalar(
     grid = self.candidate_grid(workload, arch)
     fixed = self.fixed_factors(arch)
     levels = [grid[name] for name in FACTOR_ORDER]
-    warm = self._validated_assignments(warm_start)
-    if allow_fallback is None:
-        from repro.resilience.budget import fallback_enabled
-
-        allow_fallback = fallback_enabled()
     limit = resolve_budget(budget)
     unit_budget = Budget(limit) if limit is not None else None
     minimal = self._minimal_point(grid)
@@ -333,31 +324,17 @@ def search_scalar(
         )
     best_assignment = stats.best_assignment
     best_reward = stats.best_reward
-    # The warm starts (the ``warm_start`` rung), then the exact
-    # optimum (the search's own answer), challenge the MCTS incumbent.
-    candidates = warm + (exact,)
-    winner_index = -1  # the MCTS incumbent
-    fresh = 0  # incumbents priced by a real evaluator call
-    for index, candidate in enumerate(candidates):
-        if candidate not in cache:
-            fresh += 1
-        candidate_reward = evaluate(candidate)
-        if candidate_reward > best_reward:
-            best_assignment = candidate
-            best_reward = candidate_reward
-            winner_index = index
-    if not stats.exhausted:
-        provenance = PROVENANCE_COMPLETE
-    elif not 0 <= winner_index < len(warm):
+    # The exact optimum (the search's own answer) challenges the MCTS
+    # incumbent.
+    fresh = 0 if exact in cache else 1  # priced by a real call
+    exact_reward = evaluate(exact)
+    if exact_reward > best_reward:
+        best_assignment = exact
+        best_reward = exact_reward
+    if stats.exhausted:
         provenance = PROVENANCE_BUDGET_EXHAUSTED
     else:
-        provenance = fallback_provenance(RUNG_WARM_START)
-        if not allow_fallback:
-            raise RuntimeError(
-                f"search for {workload.describe()} on "
-                f"{arch.name} degraded to {provenance} and "
-                f"fallback is disabled (REPRO_NO_FALLBACK)"
-            )
+        provenance = PROVENANCE_COMPLETE
     return TileSeekResult(
         config=self._config_from(best_assignment, fixed),
         assessment=assessments[best_assignment],

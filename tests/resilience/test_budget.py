@@ -7,6 +7,7 @@ import pytest
 from repro.resilience.budget import (
     PROVENANCE_BUDGET_EXHAUSTED,
     PROVENANCE_COMPLETE,
+    RUNG_FIRST_ORDER,
     UNITS_PER_SECOND,
     Budget,
     fallback_enabled,
@@ -15,7 +16,6 @@ from repro.resilience.budget import (
     resolve_budget,
     worst_provenance,
 )
-from repro.resilience.ladder import RUNG_FIRST_ORDER, RUNG_WARM_START
 
 
 class TestBudget:
@@ -75,7 +75,7 @@ class TestResolveBudget:
 
 class TestProvenance:
     def test_severity_order(self):
-        fallback = fallback_provenance(RUNG_WARM_START)
+        fallback = fallback_provenance(RUNG_FIRST_ORDER)
         assert worst_provenance(
             PROVENANCE_COMPLETE, PROVENANCE_BUDGET_EXHAUSTED
         ) == PROVENANCE_BUDGET_EXHAUSTED
@@ -84,8 +84,8 @@ class TestProvenance:
         ) == fallback
 
     def test_ties_keep_first(self):
-        first = fallback_provenance(RUNG_WARM_START)
-        second = fallback_provenance(RUNG_FIRST_ORDER)
+        first = fallback_provenance(RUNG_FIRST_ORDER)
+        second = fallback_provenance("another_rung")
         assert worst_provenance(first, second) == first
 
     def test_empty_is_complete(self):

@@ -350,7 +350,7 @@ class TestPlanCache:
         assert document["value"] == {"v": 1}
 
 
-def instance_payload(point, warm=()):
+def instance_payload(point):
     """The report key payload derived the pre-registry way, kept as
     the oracle: executor parameters read off a constructed executor
     instance rather than taken from the registry."""
@@ -369,7 +369,6 @@ def instance_payload(point, warm=()):
         "executor_params": params,
         "workload": workload_fingerprint(point.workload()),
         "arch": arch_fingerprint(named_architecture(point.arch)),
-        "warm_start": [list(a) for a in warm],
     }
     budget = resolve_budget()
     if budget is not None:
@@ -396,11 +395,10 @@ class TestKeyIdentity:
             executor=executor, model="t5", seq_len=512,
             arch="cloud", batch=4,
         )
-        for warm in ((), ((1, 64, 1, 256, 64),)):
-            expected = instance_payload(point, warm)
-            actual = report_cache_payload(point, warm)
-            assert actual == expected
-            assert stable_hash(actual) == stable_hash(expected)
+        expected = instance_payload(point)
+        actual = report_cache_payload(point)
+        assert actual == expected
+        assert stable_hash(actual) == stable_hash(expected)
 
 
 class TestKeyInvalidation:
@@ -497,11 +495,6 @@ class TestKeyInvalidation:
         assert stable_hash(base) != stable_hash(
             report_cache_payload(tf)
         )
-
-    def test_warm_start_is_part_of_key(self, point):
-        cold = report_cache_payload(point)
-        warm = report_cache_payload(point, ((1, 64, 1, 256, 64),))
-        assert stable_hash(cold) != stable_hash(warm)
 
     def test_workload_fingerprint_includes_model_shape(self):
         from repro.model.config import named_model

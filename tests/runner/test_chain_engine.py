@@ -45,25 +45,22 @@ FAILING_CHAIN = 1
 RAISED = {}
 
 
-def failing_run_chain(chain, warm_start, chain_index=0, *args,
-                      **kwargs):
+def failing_run_chain(chain, chain_index=0, *args, **kwargs):
     """``_run_chain``, except that chain 1 raises ``RAISED["error"]``.
 
     Module level, so the pool can pickle it by reference.
     """
     if chain_index == FAILING_CHAIN:
         raise RAISED["error"]
-    return _run_chain(chain, warm_start, chain_index, *args, **kwargs)
+    return _run_chain(chain, chain_index, *args, **kwargs)
 
 
-def failing_execute_chain(chain, warm_start, budget, no_fallback,
-                          chain_index=0, *args):
+def failing_execute_chain(chain, budget, no_fallback, chain_index=0,
+                          *args):
     """``execute_chain``, except that chain 1 raises."""
     if chain_index == FAILING_CHAIN:
         raise RAISED["error"]
-    return execute_chain(
-        chain, warm_start, budget, no_fallback, chain_index, *args
-    )
+    return execute_chain(chain, budget, no_fallback, chain_index, *args)
 
 
 #: What the failing chain raises, and the failure type every path

@@ -125,12 +125,12 @@ class TestInfeasibleStatus:
         attempts = []
         real = parallel._run_chain
 
-        def spy(chain, warm_start, chain_index=0, attempt=0,
-                indices=None, serial=True):
+        def spy(chain, chain_index=0, attempt=0, indices=None,
+                serial=True):
             attempts.append((chain_index, attempt))
             return real(
-                chain, warm_start, chain_index=chain_index,
-                attempt=attempt, indices=indices, serial=serial,
+                chain, chain_index=chain_index, attempt=attempt,
+                indices=indices, serial=serial,
             )
 
         monkeypatch.setattr(parallel, "_run_chain", spy)

@@ -40,14 +40,14 @@ def point():
 class TestJournalFile:
     def test_record_load_round_trip(self, tmp_path, point):
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc123", warm_start=False)
+        journal.record(point, "abc123")
         assert journal.load() == {
-            point_fingerprint(point, False): "abc123",
+            point_fingerprint(point): "abc123",
         }
 
     def test_keyless_points_not_recorded(self, tmp_path, point):
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, None, warm_start=False)
+        journal.record(point, None)
         assert not journal.path.exists()
         assert journal.load() == {}
 
@@ -57,11 +57,11 @@ class TestJournalFile:
     def test_torn_final_line_skipped(self, tmp_path, point):
         """A crash mid-append loses at most the torn line."""
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc123", warm_start=False)
+        journal.record(point, "abc123")
         with journal.path.open("a") as handle:
             handle.write('{"v": 1, "fingerprint": "tr')
         assert journal.load() == {
-            point_fingerprint(point, False): "abc123",
+            point_fingerprint(point): "abc123",
         }
 
     def test_torn_final_line_warns_with_evidence(
@@ -72,7 +72,7 @@ class TestJournalFile:
         from repro.runner.errors import JournalTruncation
 
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc123", warm_start=False)
+        journal.record(point, "abc123")
         with journal.path.open("a") as handle:
             handle.write('{"v": 1, "fingerprint": "tr')
         with pytest.warns(JournalTruncation) as caught:
@@ -87,13 +87,13 @@ class TestJournalFile:
         import warnings
 
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc123", warm_start=False)
+        journal.record(point, "abc123")
         with journal.path.open("a") as handle:
             handle.write('{"v": 1, "fing')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert journal.load() == {
-                point_fingerprint(point, False): "abc123",
+                point_fingerprint(point): "abc123",
             }
 
     def test_appended_lines_are_complete_and_durable(
@@ -103,7 +103,7 @@ class TestJournalFile:
         ``record`` returns -- no buffered tail owned by the dying
         process."""
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc123", warm_start=False)
+        journal.record(point, "abc123")
         raw = journal.path.read_bytes()
         assert raw.endswith(b"\n")
         assert raw.count(b"\n") == 1
@@ -121,7 +121,7 @@ class TestJournalFile:
         old-salt cache entries are never evicted, so serving a stale
         journaled key would *hit* the stale entry."""
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc123", warm_start=False)
+        journal.record(point, "abc123")
         stale = journal.path.read_text().replace(
             code_salt(), "0" * 64
         )
@@ -135,14 +135,9 @@ class TestJournalFile:
         )
         assert journal.load() == {}
 
-    def test_warm_and_cold_fingerprints_differ(self, point):
-        assert point_fingerprint(point, True) != point_fingerprint(
-            point, False
-        )
-
     def test_clear(self, tmp_path, point):
         journal = SweepJournal(tmp_path / "j.jsonl")
-        journal.record(point, "abc", warm_start=False)
+        journal.record(point, "abc")
         journal.clear()
         assert not journal.path.exists()
         journal.clear()  # idempotent
@@ -156,10 +151,9 @@ class TestDefaultJournalPath:
         assert first.parent == tmp_path / "journal"
 
     def test_distinct_grids_never_share(self, tmp_path):
-        cold = default_journal_path(grid(), root=tmp_path)
-        warm = default_journal_path(grid(), True, root=tmp_path)
+        full = default_journal_path(grid(), root=tmp_path)
         other = default_journal_path(grid()[:2], root=tmp_path)
-        assert len({cold, warm, other}) == 3
+        assert full != other
 
 
 class TestResume:
@@ -171,14 +165,14 @@ class TestResume:
         completed = journal.load()
         assert len(completed) == len(points)
         for point in points:
-            assert point_fingerprint(point, False) in completed
+            assert point_fingerprint(point) in completed
 
     def test_resume_skips_completed_work(
         self, tmp_path, monkeypatch
     ):
         """A fully journaled sweep resumes without building a single
-        executor."""
-        points = grid()
+        executor -- TransFusion's searched points included."""
+        points = grid(executors=("unfused", "fusemax", "transfusion"))
         journal = tmp_path / "j.jsonl"
         first = run_grid(points, jobs=1, cache_dir=tmp_path / "c",
                          journal=journal)
@@ -273,17 +267,4 @@ class TestResume:
         resumed = run_grid(points, jobs=1, cache_dir=tmp_path / "c",
                            journal=journal, resume=True)
         assert set(resumed.statuses.values()) == {"ok"}
-        assert rendered(resumed) == rendered(first)
-
-    def test_warm_start_resume_round_trip(self, tmp_path):
-        """Warm-start sweeps journal their warm cache keys and
-        resume byte-identically."""
-        points = grid(executors=("transfusion",))
-        journal = tmp_path / "j.jsonl"
-        first = run_grid(points, jobs=1, cache_dir=tmp_path / "c",
-                         warm_start=True, journal=journal)
-        resumed = run_grid(points, jobs=1, cache_dir=tmp_path / "c",
-                           warm_start=True, journal=journal,
-                           resume=True)
-        assert set(resumed.statuses.values()) == {"skipped"}
         assert rendered(resumed) == rendered(first)

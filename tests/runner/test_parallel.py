@@ -81,16 +81,6 @@ class TestRunGrid:
                             cache_dir=tmp_path / "parallel")
         assert rendered(serial) == rendered(parallel)
 
-    def test_warm_start_parallel_matches_serial(self, tmp_path):
-        points = small_grid()
-        serial = run_grid(points, jobs=1,
-                          cache_dir=tmp_path / "serial",
-                          warm_start=True)
-        parallel = run_grid(points, jobs=4,
-                            cache_dir=tmp_path / "parallel",
-                            warm_start=True)
-        assert rendered(serial) == rendered(parallel)
-
     def test_cache_disabled_writes_nothing(self, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
@@ -115,20 +105,6 @@ class TestRunGrid:
         reports = run_grid([point, point], jobs=1,
                            cache_dir=tmp_path / "c")
         assert list(reports) == [point]
-
-    def test_warm_start_cold_equivalent_or_better(self, tmp_path):
-        """Warm starting may only improve the DRAM objective."""
-        points = small_grid()
-        cold = run_grid(points, jobs=1,
-                        cache_dir=tmp_path / "cold")
-        warm = run_grid(points, jobs=1,
-                        cache_dir=tmp_path / "warm",
-                        warm_start=True)
-        for point in points:
-            assert warm[point].dram_words() <= (
-                cold[point].dram_words() * (1 + 1e-9)
-            )
-
 
 class TestSweepResultEquality:
     def test_value_equality_with_plain_dict(self):

@@ -166,7 +166,7 @@ def test_served_sweep_matches_cold_cli(shrunken_edge):
     ]
     served = served_body({
         "op": "sweep", "points": points,
-        "budget": BUDGET_FALLBACK, "warm_start": True,
+        "budget": BUDGET_FALLBACK,
     })
     document = json.loads(served)
     assert document["ok"] is True
@@ -179,7 +179,6 @@ def test_served_sweep_matches_cold_cli(shrunken_edge):
         "--executors", "transfusion",
         "--batch", "4",
         "--budget", str(BUDGET_FALLBACK),
-        "--warm-start",
     )
     assert code == 0
     assert served == cold

@@ -50,11 +50,9 @@ class TestParseRequest:
         document = {
             "op": "sweep",
             "points": [dict(POINT), dict(POINT, seq_len=1024)],
-            "warm_start": True,
         }
         request = parse_request(document)
         assert len(request.points) == 2
-        assert request.warm_start
         assert parse_request(
             serve_request_to_dict(request)
         ) == request
@@ -87,6 +85,12 @@ class TestParseRequest:
          "unsupported protocol version"),
         ({"op": "stats", "point": dict(POINT)},
          "no point arguments"),
+        # The removed TileSeek warm-start flag is an unknown field,
+        # and the error lists the fields a request may carry.
+        ({"op": "sweep", "points": [dict(POINT)], "warm_start": True},
+         "unknown request field(s) ['warm_start']; choose from "
+         "['budget', 'deadline_s', 'id', 'no_fallback', 'op', 'point', "
+         "'points', 'v']"),
     ])
     def test_rejections_are_typed_and_name_the_problem(
         self, document, fragment

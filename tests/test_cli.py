@@ -122,7 +122,14 @@ class TestSweepCommand:
         assert args.archs == ["cloud"]
         assert args.jobs is None
         assert not args.no_cache
-        assert not args.warm_start
+
+    def test_warm_start_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["sweep", "--warm-start"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --warm-start" in (
+            capsys.readouterr().err
+        )
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):

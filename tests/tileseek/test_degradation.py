@@ -1,5 +1,4 @@
-"""Anytime behaviour of the tiling search: budgets, dead ends and the
-graceful-degradation ladder."""
+"""Anytime behaviour of the tiling search: budgets and dead ends."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ from repro.resilience.budget import (
     PROVENANCE_COMPLETE,
     is_degraded,
 )
-from repro.resilience.ladder import RUNG_WARM_START
 from repro.tileseek.mcts import mcts_search
 from repro.tileseek.search import TileSeek
 
@@ -100,7 +98,7 @@ class TestAnytimeTileSeek:
             workload, cloud
         )
         explicit = TileSeek(iterations=80, seed=3).search(
-            workload, cloud, budget=None, allow_fallback=True,
+            workload, cloud, budget=None
         )
         assert plain == explicit
         document = tileseek_result_to_dict(plain)
@@ -139,36 +137,6 @@ class TestAnytimeTileSeek:
         ]
         assert runs[0] == runs[1]
 
-    def test_warm_start_rung_when_warm_wins(self, workload, cloud):
-        full = TileSeek(iterations=300, seed=0).search(
-            workload, cloud
-        )
-        starved = TileSeek(iterations=300, seed=0).search(
-            workload, cloud,
-            warm_start=(full.stats.best_assignment,),
-            budget=1,
-        )
-        assert starved.feasible
-        # The warm start ties the exact optimum and is priced first,
-        # so it wins the incumbent pool: the degraded search is
-        # exactly as good as the full one.
-        assert starved.provenance == f"fallback:{RUNG_WARM_START}"
-        assert starved.stats.best_reward >= full.stats.best_reward
-
-    def test_no_fallback_raises_on_degradation(
-        self, workload, cloud
-    ):
-        # The exact optimum belongs to the search's own answer, so a
-        # ladder rung wins only through a warm start that ties it.
-        full = TileSeek(iterations=300, seed=0).search(
-            workload, cloud
-        )
-        with pytest.raises(RuntimeError, match="REPRO_NO_FALLBACK"):
-            TileSeek(iterations=400, seed=0).search(
-                workload, cloud, budget=1, allow_fallback=False,
-                warm_start=(full.stats.best_assignment,),
-            )
-
     def test_budget_cut_still_returns_the_optimum(
         self, workload, cloud
     ):
@@ -176,7 +144,7 @@ class TestAnytimeTileSeek:
             workload, cloud
         )
         starved = TileSeek(iterations=400, seed=0).search(
-            workload, cloud, budget=1, allow_fallback=False,
+            workload, cloud, budget=1
         )
         assert starved.provenance == "budget_exhausted"
         assert starved.stats.iterations == 1
@@ -188,7 +156,7 @@ class TestAnytimeTileSeek:
     def test_certified_anchor_spends_no_budget(self, cloud):
         workload = Workload(named_model("t5"), seq_len=4096, batch=8)
         result = TileSeek(iterations=400, seed=0).search(
-            workload, cloud, budget=1, allow_fallback=False,
+            workload, cloud, budget=1
         )
         assert result.provenance == PROVENANCE_COMPLETE
         assert result.stats.iterations == 0

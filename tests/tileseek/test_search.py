@@ -154,68 +154,6 @@ class TestAssessment:
         assert assessment.kv_passes == 1
 
 
-class TestWarmStart:
-    def test_default_matches_explicit_empty(self, workload, cloud):
-        base = TileSeek(iterations=120, seed=2).search(
-            workload, cloud
-        )
-        explicit = TileSeek(iterations=120, seed=2).search(
-            workload, cloud, warm_start=()
-        )
-        assert base.config == explicit.config
-        assert base.stats == explicit.stats
-
-    def test_never_worse_than_cold(self, workload, cloud):
-        cold = TileSeek(iterations=150, seed=5).search(
-            workload, cloud
-        )
-        warm = TileSeek(iterations=150, seed=5).search(
-            workload, cloud,
-            warm_start=(cold.stats.best_assignment,),
-        )
-        assert warm.stats.best_reward >= cold.stats.best_reward
-
-    def test_strong_warm_start_rescues_tiny_budget(
-        self, workload, cloud
-    ):
-        """A 1-iteration search warm-started from a converged one
-        must recover the converged objective."""
-        converged = TileSeek(iterations=400, seed=0).search(
-            workload, cloud
-        )
-        tiny = TileSeek(iterations=1, seed=0).search(
-            workload, cloud,
-            warm_start=(converged.stats.best_assignment,),
-        )
-        assert tiny.stats.best_reward >= converged.stats.best_reward
-        assert tiny.assessment.dram_words <= (
-            converged.assessment.dram_words * (1 + 1e-9)
-        )
-
-    def test_warm_candidates_counted_as_evaluations(
-        self, workload, cloud
-    ):
-        cold = TileSeek(iterations=100, seed=4).search(
-            workload, cloud
-        )
-        warm = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, warm_start=((1, 16, 1, 64, 16),)
-        )
-        assert warm.stats.evaluations == cold.stats.evaluations + 1
-
-    def test_wrong_length_rejected(self, workload, cloud):
-        with pytest.raises(ValueError):
-            TileSeek(iterations=10).search(
-                workload, cloud, warm_start=((1, 2),)
-            )
-
-    def test_nonpositive_factor_rejected(self, workload, cloud):
-        with pytest.raises(ValueError):
-            TileSeek(iterations=10).search(
-                workload, cloud, warm_start=((1, 16, 0, 64, 16),)
-            )
-
-
 class TestSearchEfficiency:
     def test_prune_feasibility_checks_memoized(
         self, searched_workload, cloud, monkeypatch
@@ -386,12 +324,7 @@ class TestSearchEfficiency:
                     assessed.clear()
                     searcher = TileSeek(iterations=200, seed=1)
                     result = searcher.search(
-                        workload, arch, budget=budget,
-                        # A fitting and an overflowing warm start.
-                        warm_start=(
-                            (1, 16, 1, 64, 16),
-                            (64, 8192, 64, 16384, 8192),
-                        ),
+                        workload, arch, budget=budget
                     )
                     searches += 1
                     ran += result.stats.iterations > 0
@@ -409,9 +342,7 @@ class TestSearchEfficiency:
         arch = named_architecture("edge")
         workload = Workload(named_model("llama3"), seq_len=1, batch=1)
         searcher = TileSeek(iterations=200, seed=1)
-        result = searcher.search(
-            workload, arch, budget=0, allow_fallback=True
-        )
+        result = searcher.search(workload, arch, budget=0)
         minimal = searcher._config_from(
             searcher._minimal_point(
                 searcher.candidate_grid(workload, arch)
@@ -578,39 +509,33 @@ class TestEarlyExitPrune:
 
 class TestEvaluationCounting:
     """Regression: ``MCTSStats.evaluations`` counts real evaluator
-    calls only -- incumbents served from the evaluation cache must
-    not inflate it (historically the incumbent/warm loop added
-    ``1 + len(warm)`` unconditionally)."""
+    calls only -- the exact incumbent, when the MCTS already priced
+    it, must not inflate it (historically the incumbent loop added one
+    per incumbent unconditionally)."""
 
-    @staticmethod
-    def _search(scalar, *args, **kwargs):
-        searcher = TileSeek(iterations=100, seed=4)
-        if scalar:
-            return search_scalar(searcher, *args, **kwargs)
-        return searcher.search(*args, **kwargs)
-
-    @pytest.mark.parametrize("scalar", [True, False])
-    def test_cached_warm_start_adds_zero(
-        self, workload, cloud, scalar
+    @pytest.mark.parametrize("budget", [None, 1, 16])
+    @pytest.mark.parametrize("searched", [False, True])
+    def test_counts_real_pricing_calls_only(
+        self, workload, searched_workload, cloud, budget, searched,
+        monkeypatch,
     ):
-        cold = self._search(scalar, workload, cloud)
-        warm = self._search(
-            scalar, workload, cloud,
-            warm_start=(cold.stats.best_assignment,),
-        )
-        # The MCTS already priced its own best assignment, so the
-        # warm candidate is a cache hit: zero extra evaluations.
-        assert warm.stats.evaluations == cold.stats.evaluations
+        import repro.tileseek.search as search_module
 
-    @pytest.mark.parametrize("scalar", [True, False])
-    def test_duplicate_warm_starts_counted_once(
-        self, workload, cloud, scalar
-    ):
-        fresh = (1, 16, 1, 64, 16)
-        once = self._search(
-            scalar, workload, cloud, warm_start=(fresh,)
+        memos = []
+        real_pricer = search_module._leaf_pricer
+
+        def capturing_pricer(*args):
+            evaluate, rewards, optimal = real_pricer(*args)
+            memos.append(rewards)
+            return evaluate, rewards, optimal
+
+        monkeypatch.setattr(
+            search_module, "_leaf_pricer", capturing_pricer
         )
-        twice = self._search(
-            scalar, workload, cloud, warm_start=(fresh, fresh)
+        point = searched_workload if searched else workload
+        result = TileSeek(iterations=100, seed=4).search(
+            point, cloud, budget=budget
         )
-        assert twice.stats.evaluations == once.stats.evaluations
+        # The memo holds one entry per real pricing call.
+        assert result.stats.evaluations == len(memos[0])
+        assert (result.stats.iterations > 0) == searched
